@@ -12,7 +12,7 @@ from .metrics import EvalReport, box_iou, cider, cider_grouped, evaluate, rouge_
 from .srl import (
     REGIMES, CaptionDecoder, DecoderOutput, GroundingPrediction,
     PredictionRecord, RoleObjectDecoder, SituationModel,
-    build_event_mask, build_role_queries, extract_grounding, generate_caption,
+    build_event_mask, build_role_queries, extract_grounding,
 )
 from .synth import SynthConfig, generate, oracle_predict, write_dataset
 from .training import TrainConfig, balanced_sample_weights, train

@@ -16,6 +16,7 @@ import sys
 from .data_model import (
     ROLES, DatasetError, load_dataset_dir, validate_sample,
 )
+from .diffmath import CheckpointError
 from .metrics import evaluate
 from .srl import REGIMES, SituationModel, read_predictions, write_predictions
 from .synth import SynthConfig, generate, write_dataset
@@ -141,8 +142,9 @@ def cmd_train(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    samples, _ = load_dataset_dir(args.data, split=args.split)
+    samples, lexicon = load_dataset_dir(args.data, split=args.split)
     model = SituationModel.load(args.checkpoint)
+    model.check_data(samples, lexicon)
     per_video = [model.predict_situation(s, regime=args.regime, keep_alpha=args.dump_alpha)
                  for s in samples]
     write_predictions(args.out, per_video, include_alpha=args.dump_alpha)
@@ -195,7 +197,7 @@ def main(argv=None) -> int:
         return 0 if e.code == 0 else 2
     try:
         return _COMMANDS[args.command](args)
-    except (DatasetError, ConfigError) as e:
+    except (DatasetError, ConfigError, CheckpointError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except FileNotFoundError as e:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -88,9 +88,6 @@ class VerbLexicon:
 
     def __len__(self) -> int:
         return len(self.verbs)
-
-    def verb_id(self, name: str) -> int:
-        return self.verbs.index(name)
 
     def to_dict(self) -> dict:
         return {

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 
 import numpy as np
 
@@ -535,10 +536,11 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, mask=Non
 class Linear:
     """y = x @ W + b with fan-in uniform init."""
 
-    def __init__(self, d_in: int, d_out: int, rng: np.random.Generator, dtype=np.float32):
+    def __init__(self, d_in: int, d_out: int, rng: np.random.Generator):
         bound = 1.0 / math.sqrt(d_in)
-        self.w = Tensor(rng.uniform(-bound, bound, (d_in, d_out)).astype(dtype), requires_grad=True)
-        self.b = Tensor(rng.uniform(-bound, bound, d_out).astype(dtype), requires_grad=True)
+        self.w = Tensor(rng.uniform(-bound, bound, (d_in, d_out)).astype(np.float32),
+                        requires_grad=True)
+        self.b = Tensor(rng.uniform(-bound, bound, d_out).astype(np.float32), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
         return add(matmul(x, self.w), self.b)
@@ -551,8 +553,9 @@ class Linear:
 class Embedding:
     """Learned lookup table, normal(0, 0.02) init."""
 
-    def __init__(self, n: int, d: int, rng: np.random.Generator, dtype=np.float32):
-        self.table = Tensor((rng.standard_normal((n, d)) * 0.02).astype(dtype), requires_grad=True)
+    def __init__(self, n: int, d: int, rng: np.random.Generator):
+        self.table = Tensor((rng.standard_normal((n, d)) * 0.02).astype(np.float32),
+                            requires_grad=True)
 
     def __call__(self, idx) -> Tensor:
         return gather_rows(self.table, idx)
@@ -562,9 +565,9 @@ class Embedding:
 
 
 class LayerNorm:
-    def __init__(self, d: int, dtype=np.float32):
-        self.gain = Tensor(np.ones(d, dtype=dtype), requires_grad=True)
-        self.bias = Tensor(np.zeros(d, dtype=dtype), requires_grad=True)
+    def __init__(self, d: int):
+        self.gain = Tensor(np.ones(d, dtype=np.float32), requires_grad=True)
+        self.bias = Tensor(np.zeros(d, dtype=np.float32), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
         return layer_norm(x, self.gain, self.bias)
@@ -577,14 +580,14 @@ class LayerNorm:
 class AttentionBlock:
     """Multi-head attention with learned Q/K/V/output projections."""
 
-    def __init__(self, d: int, n_heads: int, rng: np.random.Generator, dtype=np.float32):
+    def __init__(self, d: int, n_heads: int, rng: np.random.Generator):
         if d % n_heads != 0:
             raise ValueError(f"model dim {d} not divisible by {n_heads} heads")
         self.n_heads = n_heads
-        self.wq = Linear(d, d, rng, dtype)
-        self.wk = Linear(d, d, rng, dtype)
-        self.wv = Linear(d, d, rng, dtype)
-        self.wo = Linear(d, d, rng, dtype)
+        self.wq = Linear(d, d, rng)
+        self.wk = Linear(d, d, rng)
+        self.wv = Linear(d, d, rng)
+        self.wo = Linear(d, d, rng)
 
     def __call__(self, q_in: Tensor, kv_in: Tensor, mask=None, need_weights: bool = True):
         out, weights = multi_head_attention(
@@ -599,58 +602,39 @@ class AttentionBlock:
 
 
 class TransformerLayer:
-    """One encoder or decoder layer: self-attention, optional cross-attention,
-    position-wise FFN, residuals and layer norm.
+    """One encoder or decoder layer (post-norm): self-attention, optional
+    cross-attention, position-wise FFN of width 4d, each with a residual and
+    a layer norm."""
 
-    norm_placement "post" is the default arrangement; "pre" applies the norms
-    before each sublayer (with a plain residual), which makes a zeroed FFN an
-    exact pass-through of the attention sublayer.
-    """
-
-    def __init__(self, d: int, n_heads: int, rng: np.random.Generator, ffn_mult: int = 4,
-                 cross: bool = False, norm_placement: str = "post", dtype=np.float32):
-        if norm_placement not in ("post", "pre"):
-            raise ValueError(f"unknown norm placement {norm_placement!r}")
-        self.norm_placement = norm_placement
+    def __init__(self, d: int, n_heads: int, rng: np.random.Generator, cross: bool = False):
         self.cross = cross
-        self.self_attn = AttentionBlock(d, n_heads, rng, dtype)
-        self.ln1 = LayerNorm(d, dtype)
+        self.self_attn = AttentionBlock(d, n_heads, rng)
+        self.ln1 = LayerNorm(d)
         if cross:
-            self.cross_attn = AttentionBlock(d, n_heads, rng, dtype)
-            self.ln_cross = LayerNorm(d, dtype)
-        self.ffn_in = Linear(d, ffn_mult * d, rng, dtype)
-        self.ffn_out = Linear(ffn_mult * d, d, rng, dtype)
-        self.ln2 = LayerNorm(d, dtype)
+            self.cross_attn = AttentionBlock(d, n_heads, rng)
+            self.ln_cross = LayerNorm(d)
+        self.ffn_in = Linear(d, 4 * d, rng)
+        self.ffn_out = Linear(4 * d, d, rng)
+        self.ln2 = LayerNorm(d)
 
     def __call__(self, x: Tensor, memory: Tensor | None = None, self_mask=None,
-                 cross_mask=None, dropout_p: float = 0.0, rng=None,
-                 require_cross_mask: bool = True):
+                 cross_mask=None, dropout_p: float = 0.0, rng=None):
         cross_weights = None
         if memory is not None and not self.cross:
             raise ValueError("memory passed to a layer built without cross-attention")
-        if self.cross and memory is not None and cross_mask is None and require_cross_mask:
+        if self.cross and memory is not None and cross_mask is None:
             raise ValueError("cross-attention memory supplied without a cross mask")
 
         def drop(t):
             return dropout(t, dropout_p, rng) if dropout_p > 0 else t
 
-        if self.norm_placement == "post":
-            a, _ = self.self_attn(x, x, self_mask, need_weights=False)
-            x = self.ln1(add(x, drop(a)))
-            if self.cross and memory is not None:
-                c, cross_weights = self.cross_attn(x, memory, cross_mask)
-                x = self.ln_cross(add(x, drop(c)))
-            f = self.ffn_out(relu(self.ffn_in(x)))
-            x = self.ln2(add(x, drop(f)))
-        else:
-            a, _ = self.self_attn(self.ln1(x), self.ln1(x), self_mask, need_weights=False)
-            x = add(x, drop(a))
-            if self.cross and memory is not None:
-                h = self.ln_cross(x)
-                c, cross_weights = self.cross_attn(h, memory, cross_mask)
-                x = add(x, drop(c))
-            f = self.ffn_out(relu(self.ffn_in(self.ln2(x))))
-            x = add(x, drop(f))
+        a, _ = self.self_attn(x, x, self_mask, need_weights=False)
+        x = self.ln1(add(x, drop(a)))
+        if self.cross and memory is not None:
+            c, cross_weights = self.cross_attn(x, memory, cross_mask)
+            x = self.ln_cross(add(x, drop(c)))
+        f = self.ffn_out(relu(self.ffn_in(x)))
+        x = self.ln2(add(x, drop(f)))
         return x, cross_weights
 
     def named_parameters(self, prefix: str):
@@ -662,13 +646,6 @@ class TransformerLayer:
         yield from self.ffn_in.named_parameters(f"{prefix}.ffn_in")
         yield from self.ffn_out.named_parameters(f"{prefix}.ffn_out")
         yield from self.ln2.named_parameters(f"{prefix}.ln2")
-
-
-def transformer_layer(x: Tensor, layer: TransformerLayer, memory: Tensor | None = None,
-                      mask_self=None, mask_cross=None) -> Tensor:
-    """Functional wrapper over :class:`TransformerLayer` (no dropout)."""
-    out, _ = layer(x, memory=memory, self_mask=mask_self, cross_mask=mask_cross)
-    return out
 
 
 # -- gradient checking ----------------------------------------------------
@@ -756,9 +733,17 @@ def gradient_check(loss_fn, params, eps: float = 1e-3, samples: int = 50,
 _DTYPE_TAGS = {"f32le": np.dtype("<f4"), "f64le": np.dtype("<f8")}
 
 
+class CheckpointError(ValueError):
+    """A checkpoint file that is damaged or does not fit the model or data."""
+
+
 def save_tensors(path, named_arrays: dict, meta: dict | None = None):
     """Write named arrays as a JSON manifest line followed by a raw
-    little-endian payload. Round-trips bit-exactly."""
+    little-endian payload. Round-trips bit-exactly.
+
+    The file is written beside ``path`` and renamed over it, so a write that
+    fails or is interrupted leaves any earlier file at ``path`` intact.
+    """
     entries = []
     blobs = []
     offset = 0
@@ -770,27 +755,40 @@ def save_tensors(path, named_arrays: dict, meta: dict | None = None):
         blobs.append(raw)
         offset += len(raw)
     manifest = {"params": entries, "meta": meta or {}}
-    with open(path, "wb") as f:
-        f.write(json.dumps(manifest, sort_keys=True).encode("utf-8"))
-        f.write(b"\n")
-        for raw in blobs:
-            f.write(raw)
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(json.dumps(manifest, sort_keys=True).encode("utf-8"))
+            f.write(b"\n")
+            for raw in blobs:
+                f.write(raw)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def load_tensors(path):
     """Inverse of :func:`save_tensors`; returns (name -> array, meta)."""
     with open(path, "rb") as f:
         header = f.readline()
-        manifest = json.loads(header.decode("utf-8"))
         payload = f.read()
+    try:
+        manifest = json.loads(header.decode("utf-8"))
+    except ValueError as e:  # also covers bytes that are not UTF-8
+        raise CheckpointError(f"checkpoint header is not a JSON manifest: {e}") from e
     out = {}
+    used = 0
     for entry in manifest["params"]:
         dt = _DTYPE_TAGS[entry.get("dtype", "f32le")]
         count = int(np.prod(entry["shape"])) if entry["shape"] else 1
         start = entry["offset"]
         end = start + count * dt.itemsize
         if end > len(payload):
-            raise ValueError(f"checkpoint payload truncated for {entry['name']!r}")
+            raise CheckpointError(f"checkpoint payload truncated for {entry['name']!r}")
         arr = np.frombuffer(payload[start:end], dtype=dt).reshape(entry["shape"])
         out[entry["name"]] = arr.astype(dt.base)
+        used = max(used, end)
+    if len(payload) > used:
+        raise CheckpointError(f"checkpoint has {len(payload) - used} trailing payload bytes")
     return out, manifest.get("meta", {})

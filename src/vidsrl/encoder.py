@@ -9,7 +9,7 @@ border-frame objects take the earlier event's positional embedding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -18,39 +18,41 @@ from .data_model import ROLES, VideoSample
 
 
 @dataclass
-class ModelConfig:
-    """Shared hyperparameters for all three transformer stages."""
+class ArchConfig:
+    """The architecture shared by all three transformer stages; the fields a
+    user sets, declared once for training and for the model."""
 
     d_model: int = 1024
     n_heads: int = 8
     n_layers: int = 3
-    ffn_mult: int = 4
-    dropout: float = 0.1
-    norm_placement: str = "post"
+    max_caption_len: int = 15
+    theta_role: float = 0.5
+    degrade_objects: bool = False
+
+    def to_dict(self) -> dict:
+        return asdict(self)
+
+
+@dataclass
+class ModelConfig(ArchConfig):
+    """The architecture plus the sizes read from the data."""
+
     d_vid: int = 64
     d_obj: int = 64
     n_verbs: int = 20
     n_roles: int = len(ROLES)
     n_events: int = 5
     vocab_size: int = 54
-    max_caption_len: int = 15
-    theta_role: float = 0.5
-    verb_hidden: int = 0   # 0 means 2 * d_model (2048 at the default width)
-    role_hidden: int = 0   # 0 means d_model (1024 at the default width)
-    share_event_pe: bool = True
-    degrade_objects: bool = False
-
-    def __post_init__(self):
-        if self.verb_hidden == 0:
-            self.verb_hidden = 2 * self.d_model
-        if self.role_hidden == 0:
-            self.role_hidden = self.d_model
-
-    def to_dict(self) -> dict:
-        return dict(self.__dict__)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
+        """Inverse of ``to_dict``; a config written by a different model
+        version fails with the keys it lacks or does not know."""
+        names = {f.name for f in fields(cls)}
+        unknown, missing = sorted(set(d) - names), sorted(names - set(d))
+        if unknown or missing:
+            raise dm.CheckpointError(f"model config does not fit this model: "
+                                     f"unknown keys {unknown}, missing keys {missing}")
         return cls(**d)
 
 
@@ -107,15 +109,11 @@ class VideoObjectEncoder:
         self.event_proj = dm.Linear(cfg.d_vid, d, rng)
         self.pe_event = dm.Embedding(cfg.n_events, d, rng)
         self.box_proj = dm.Linear(5, d, rng)
-        self.layers = [
-            dm.TransformerLayer(d, cfg.n_heads, rng, ffn_mult=cfg.ffn_mult,
-                                norm_placement=cfg.norm_placement)
-            for _ in range(cfg.n_layers)
-        ]
-        self.verb_in = dm.Linear(d, cfg.verb_hidden, rng)
-        self.verb_out = dm.Linear(cfg.verb_hidden, cfg.n_verbs, rng)
-        self.role_in = dm.Linear(d, cfg.role_hidden, rng)
-        self.role_out = dm.Linear(cfg.role_hidden, cfg.n_roles, rng)
+        self.layers = [dm.TransformerLayer(d, cfg.n_heads, rng) for _ in range(cfg.n_layers)]
+        self.verb_in = dm.Linear(d, 2 * d, rng)
+        self.verb_out = dm.Linear(2 * d, cfg.n_verbs, rng)
+        self.role_in = dm.Linear(d, d, rng)
+        self.role_out = dm.Linear(d, cfg.n_roles, rng)
 
     def embed_tokens(self, inputs: SampleInputs) -> dm.Tensor:
         """Project features and add positional terms; objects first, events last."""

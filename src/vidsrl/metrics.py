@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import warnings
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -90,24 +90,33 @@ def _topk(logits: np.ndarray, k: int) -> np.ndarray:
     return np.argsort(-logits, axis=1, kind="stable")[:, :k]
 
 
-def verb_accuracy_at_k(pred_logits: np.ndarray, gt_verb_sets: list[set[int]], k: int) -> float:
-    """Event counts as correct iff any of its ground-truth verbs appears in
-    the top-k predictions; mean over events."""
-    top = _topk(np.asarray(pred_logits), k)
-    hits = [bool(set(top[i].tolist()) & set(gt)) for i, gt in enumerate(gt_verb_sets)]
+def _ranked_accuracy(ranked, gt_verb_sets: list[set[int]]) -> float:
+    """Share of events with a ground-truth verb among their ranked verb ids."""
+    hits = [bool(set(row.tolist()) & set(gt)) for row, gt in zip(ranked, gt_verb_sets)]
     return float(np.mean(hits))
 
 
-def verb_recall_at_k(pred_logits: np.ndarray, gt_verb_sets: list[set[int]], k: int) -> float:
-    """Macro-averaged per-class recall over classes appearing in ground truth."""
-    top = _topk(np.asarray(pred_logits), k)
+def _ranked_recall(ranked, gt_verb_sets: list[set[int]]) -> float:
+    """Macro-averaged per-class recall of the ranked verb ids over classes
+    appearing in ground truth."""
     classes = sorted(set().union(*[set(g) for g in gt_verb_sets]))
     recalls = []
     for c in classes:
         events = [i for i, g in enumerate(gt_verb_sets) if c in g]
-        got = sum(1 for i in events if c in top[i])
+        got = sum(1 for i in events if c in ranked[i])
         recalls.append(got / len(events))
     return float(np.mean(recalls))
+
+
+def verb_accuracy_at_k(pred_logits: np.ndarray, gt_verb_sets: list[set[int]], k: int) -> float:
+    """Event counts as correct iff any of its ground-truth verbs appears in
+    the top-k predictions; mean over events."""
+    return _ranked_accuracy(_topk(np.asarray(pred_logits), k), gt_verb_sets)
+
+
+def verb_recall_at_k(pred_logits: np.ndarray, gt_verb_sets: list[set[int]], k: int) -> float:
+    """Macro-averaged per-class recall over classes appearing in ground truth."""
+    return _ranked_recall(_topk(np.asarray(pred_logits), k), gt_verb_sets)
 
 
 def role_prf(pred_role_sets: list[set[int]], gt_role_sets: list[set[int]]):
@@ -334,16 +343,9 @@ def evaluate(predictions: list[list[PredictionRecord]], samples: list[VideoSampl
             grounding_lists[theta].extend(scores)
         skipped += sk  # skip count is theta-independent
 
-    acc1 = float(np.mean([1.0 if rows[0] in gt else 0.0
-                          for rows, gt in zip(pred_rows, gt_sets)]))
-    acc5 = float(np.mean([1.0 if set(rows.tolist()) & gt else 0.0
-                          for rows, gt in zip(pred_rows, gt_sets)]))
-    classes = sorted(set().union(*gt_sets))
-    rec5 = float(np.mean([
-        np.mean([1.0 if c in rows else 0.0
-                 for rows, gt in zip(pred_rows, gt_sets) if c in gt])
-        for c in classes
-    ]))
+    acc1 = _ranked_accuracy([row[:1] for row in pred_rows], gt_sets)
+    acc5 = _ranked_accuracy(pred_rows, gt_sets)
+    rec5 = _ranked_recall(pred_rows, gt_sets)
 
     srl = {
         "cider": cider(candidates, references) * 10.0,

@@ -12,16 +12,16 @@ as a length-1 memory.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import diffmath as dm
 from .data_model import (
-    BOS, EOS, PAD, ROLES, ROLE_IDS, FrameSchedule, VerbLexicon, VideoSample,
+    BOS, EOS, ROLES, ROLE_IDS, FrameSchedule, VerbLexicon, VideoSample,
     Vocabulary, normalize_caption, roles_for_verb,
 )
-from .encoder import ModelConfig, SampleInputs, VideoObjectEncoder, prepare_inputs
+from .encoder import ModelConfig, VideoObjectEncoder, prepare_inputs
 
 REGIMES = ("gt-roles", "pred-gt-map", "pred-pred")
 FALLBACK_ROLE = ROLE_IDS["Arg0"]  # used when the multi-label head predicts nothing
@@ -93,11 +93,8 @@ class RoleObjectDecoder:
     def __init__(self, cfg: ModelConfig, rng: np.random.Generator):
         self.cfg = cfg
         self.role_embed = dm.Embedding(cfg.n_roles, cfg.d_model, rng)
-        self.layers = [
-            dm.TransformerLayer(cfg.d_model, cfg.n_heads, rng, ffn_mult=cfg.ffn_mult,
-                                cross=True, norm_placement=cfg.norm_placement)
-            for _ in range(cfg.n_layers)
-        ]
+        self.layers = [dm.TransformerLayer(cfg.d_model, cfg.n_heads, rng, cross=True)
+                       for _ in range(cfg.n_layers)]
 
     def forward(self, queries: dm.Tensor, o_ctx: dm.Tensor, mask: np.ndarray,
                 dropout_p: float = 0.0, rng=None):
@@ -170,11 +167,8 @@ class CaptionDecoder:
         d = cfg.d_model
         self.token_embed = dm.Embedding(cfg.vocab_size, d, rng)
         self.pos_embed = dm.Embedding(cfg.max_caption_len + 2, d, rng)
-        self.layers = [
-            dm.TransformerLayer(d, cfg.n_heads, rng, ffn_mult=cfg.ffn_mult,
-                                cross=True, norm_placement=cfg.norm_placement)
-            for _ in range(cfg.n_layers)
-        ]
+        self.layers = [dm.TransformerLayer(d, cfg.n_heads, rng, cross=True)
+                       for _ in range(cfg.n_layers)]
         self.out = dm.Linear(d, cfg.vocab_size, rng)
 
     def logits(self, token_ids: np.ndarray, z: dm.Tensor,
@@ -225,15 +219,6 @@ class CaptionDecoder:
         for i, layer in enumerate(self.layers):
             yield from layer.named_parameters(f"{prefix}.layers.{i}")
         yield from self.out.named_parameters(f"{prefix}.out")
-
-
-def generate_caption(captioner: CaptionDecoder, z_vector: np.ndarray,
-                     vocab: Vocabulary, max_len: int | None = None) -> list[int]:
-    """Greedy caption token ids for a single role vector."""
-    z = dm.Tensor(np.asarray(z_vector, dtype=np.float32).reshape(1, -1))
-    ids = captioner.greedy(z, max_len=max_len)[0]
-    assert all(0 <= t < len(vocab) for t in ids)
-    return ids
 
 
 # -- full model and inference -------------------------------------------------
@@ -300,11 +285,24 @@ class SituationModel:
         model = cls(cfg, lexicon, vocab, np.random.default_rng(0))
         for name, p in model.named_parameters():
             if name not in arrays:
-                raise ValueError(f"checkpoint missing parameter {name!r}")
+                raise dm.CheckpointError(f"checkpoint missing parameter {name!r}")
             if tuple(arrays[name].shape) != p.data.shape:
-                raise ValueError(f"checkpoint shape mismatch for {name!r}")
+                raise dm.CheckpointError(f"checkpoint shape mismatch for {name!r}")
             p.data = arrays[name].astype(p.data.dtype)
         return model
+
+    def check_data(self, samples: list[VideoSample], lexicon: VerbLexicon):
+        """Raise CheckpointError unless every video's feature sizes and the
+        dataset's verb lexicon are the ones this model was built for."""
+        if lexicon != self.lexicon:
+            raise dm.CheckpointError("the dataset's verb lexicon differs from the checkpoint's")
+        for s in samples:
+            for key, size in (("d_vid", s.event_features.shape[1]),
+                              ("d_obj", s.proposals[0].feature.shape[0])):
+                expected = getattr(self.cfg, key)
+                if size != expected:
+                    raise dm.CheckpointError(f"video {s.id!r} has {key} {size}, "
+                                             f"the checkpoint expects {expected}")
 
     # role-set selection per inference regime
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import os
 import warnings
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -20,36 +20,11 @@ from .data_model import (
     BOS, EOS, PAD, VerbLexicon, VideoSample, Vocabulary, build_vocabulary,
     caption_corpus,
 )
-from .encoder import ModelConfig, prepare_inputs
+from .encoder import ArchConfig, ModelConfig, prepare_inputs
 from .metrics import evaluate
 from .srl import SituationModel, build_event_mask, build_role_queries
 
 VERB_LOSS_MODES = ("plain", "reweighted", "focal", "balanced-sampling")
-
-# Exact config file surface: key name -> (TrainConfig field, parser)
-CONFIG_KEYS = {
-    "lr": ("lr", float),
-    "batch_size": ("batch_size", int),
-    "epochs": ("epochs", int),
-    "seed": ("seed", int),
-    "verb_loss_mode": ("verb_loss_mode", str),
-    "focal_gamma": ("focal_gamma", float),
-    "loss_w_verb": ("loss_w_verb", float),
-    "loss_w_role": ("loss_w_role", float),
-    "loss_w_caption": ("loss_w_caption", float),
-    "d_model": ("d_model", int),
-    "n_heads": ("n_heads", int),
-    "n_layers": ("n_layers", int),
-    "dropout": ("dropout", float),
-    "max_caption_len": ("max_caption_len", int),
-    "theta_role": ("theta_role", float),
-    "fps": ("fps", float),
-    "M": ("n_slots", int),
-    "degrade_objects": ("degrade_objects", lambda s: s.lower() in ("1", "true", "yes")),
-    "grad_clip": ("grad_clip", float),
-    "eval_every": ("eval_every", int),
-    "vocab_min_count": ("vocab_min_count", int),
-}
 
 
 class ConfigError(ValueError):
@@ -57,7 +32,10 @@ class ConfigError(ValueError):
 
 
 @dataclass
-class TrainConfig:
+class TrainConfig(ArchConfig):
+    """The architecture plus the optimisation settings; fps and the
+    proposals per frame come from the dataset, not from the config."""
+
     lr: float = 1e-4
     batch_size: int = 16
     epochs: int = 100
@@ -67,15 +45,7 @@ class TrainConfig:
     loss_w_verb: float = 1.0
     loss_w_role: float = 1.0
     loss_w_caption: float = 1.0
-    d_model: int = 1024
-    n_heads: int = 8
-    n_layers: int = 3
     dropout: float = 0.1
-    max_caption_len: int = 15
-    theta_role: float = 0.5
-    fps: float = 1.0
-    n_slots: int = 15
-    degrade_objects: bool = False
     grad_clip: float = 0.0
     eval_every: int = 25
     vocab_min_count: int = 1
@@ -87,8 +57,11 @@ class TrainConfig:
         if self.verb_loss_mode == "focal" and self.focal_gamma <= 0:
             raise ConfigError(f"focal_gamma must be > 0, got {self.focal_gamma}")
 
-    def to_dict(self) -> dict:
-        return asdict(self)
+
+# Exact config file surface: every TrainConfig field, parsed by its declared type
+_PARSERS = {"int": int, "float": float, "str": str,
+            "bool": lambda s: s.lower() in ("1", "true", "yes")}
+CONFIG_KEYS = {f.name: _PARSERS[f.type] for f in fields(TrainConfig)}
 
 
 def parse_config_text(text: str, base: TrainConfig | None = None) -> TrainConfig:
@@ -109,9 +82,8 @@ def apply_override(values: dict, key: str, value: str):
     if key not in CONFIG_KEYS:
         raise ConfigError(f"unknown config key {key!r}; valid keys: "
                           + ", ".join(sorted(CONFIG_KEYS)))
-    fieldname, parser = CONFIG_KEYS[key]
     try:
-        values[fieldname] = parser(value)
+        values[key] = CONFIG_KEYS[key](value)
     except ValueError as e:
         raise ConfigError(f"bad value for {key!r}: {value!r}") from e
 
@@ -123,10 +95,7 @@ def load_config(path, base: TrainConfig | None = None) -> TrainConfig:
 
 def config_defaults_help() -> str:
     defaults = TrainConfig().to_dict()
-    lines = []
-    for key, (fieldname, _) in sorted(CONFIG_KEYS.items()):
-        lines.append(f"{key} (default {defaults[fieldname]})")
-    return ", ".join(lines)
+    return ", ".join(f"{key} (default {defaults[key]})" for key in sorted(CONFIG_KEYS))
 
 
 # -- losses -----------------------------------------------------------------
@@ -418,22 +387,15 @@ class TrainState:
 
 def model_config_for(train_cfg: TrainConfig, samples: list[VideoSample],
                      lexicon: VerbLexicon, vocab: Vocabulary) -> ModelConfig:
+    """The training architecture plus the sizes read from the data."""
     first = samples[0]
     return ModelConfig(
-        d_model=train_cfg.d_model,
-        n_heads=train_cfg.n_heads,
-        n_layers=train_cfg.n_layers,
-        dropout=train_cfg.dropout,
+        **{f.name: getattr(train_cfg, f.name) for f in fields(ArchConfig)},
         d_vid=first.event_features.shape[1],
         d_obj=first.proposals[0].feature.shape[0],
         n_verbs=len(lexicon),
         n_events=len(first.events),
         vocab_size=len(vocab),
-        max_caption_len=train_cfg.max_caption_len,
-        theta_role=train_cfg.theta_role,
-        verb_hidden=0,
-        role_hidden=0,
-        degrade_objects=train_cfg.degrade_objects,
     )
 
 
@@ -442,9 +404,9 @@ def train(train_samples: list[VideoSample], lexicon: VerbLexicon, cfg: TrainConf
           log_fn=None) -> TrainState:
     """Optimize the full model; writes checkpoints and a metric log.
 
-    Emits checkpoint_last.bin every epoch plus best-verb / best-cider
-    checkpoints whenever the validation pass improves on those metrics, and
-    one JSON object per epoch in metrics.jsonl.
+    Writes one JSON object per epoch to metrics.jsonl, best-verb / best-cider
+    checkpoints whenever a validation pass improves on those metrics, and
+    checkpoint_last.bin plus train_state.bin once, after the last epoch.
     """
     if not train_samples:
         raise ValueError("empty training set")

@@ -103,7 +103,7 @@ def test_criterion_1_mask_exactness():
         n_slots = int(g.integers(1, 5))
         d = 16
         cfg = ModelConfig(d_model=d, n_heads=int(g.choice([1, 2, 4])),
-                          n_layers=int(g.integers(1, 3)), dropout=0.0,
+                          n_layers=int(g.integers(1, 3)),
                           d_vid=d, d_obj=d, n_verbs=4, n_events=n_events, vocab_size=12)
         dec = RoleObjectDecoder(cfg, g)
         queries = [RoleQuery(int(e), int(r))

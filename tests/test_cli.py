@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from vidsrl import diffmath as dm
 from vidsrl.cli import main
 from vidsrl.data_model import ROLE_IDS, load_dataset_dir, roles_for_verb
 from vidsrl.srl import read_predictions
@@ -26,7 +27,7 @@ SYNTH_ARGS = ["--n-videos", "4", "--n-val", "2", "--n-verbs", "4", "--vocab-size
               "--d-vid", "12", "--d-obj", "12", "--m", "4", "--seed", "7"]
 TRAIN_SET = ["--set", "epochs=2", "--set", "batch_size=2", "--set", "d_model=12",
              "--set", "n_heads=2", "--set", "n_layers=1", "--set", "dropout=0",
-             "--set", "M=4", "--set", "eval_every=1", "--set", "seed=3"]
+             "--set", "eval_every=1", "--set", "seed=3"]
 
 
 @pytest.fixture(scope="module")
@@ -55,8 +56,9 @@ def test_synth_idempotent(tmp_path):
 def test_help_exits_zero_and_lists_config_keys(capsys):
     assert main(["--help"]) == 0
     out = capsys.readouterr().out
-    for key in ("lr", "batch_size", "theta_role", "d_model", "M", "fps"):
+    for key in ("lr", "batch_size", "theta_role", "d_model"):
         assert key in out
+    assert "fps" not in out
 
 
 def test_usage_error_exit_code_two():
@@ -160,3 +162,33 @@ def test_alpha_dump_flag(workspace):
                  "--regime", "gt-roles", "--out", str(out), "--dump-alpha"]) == 0
     doc = json.loads(out.read_text().splitlines()[0])
     assert "alpha" in doc["events"][0]["roles"][0]
+
+
+def test_predict_rejects_checkpoint_from_older_config(workspace, tmp_path, capsys):
+    _, data, run = workspace
+    arrays, meta = dm.load_tensors(run / "checkpoint_last.bin")
+    meta["config"].update(share_event_pe=True, norm_placement="post")
+    old = tmp_path / "old.bin"
+    dm.save_tensors(old, arrays, meta)
+    code = main(["predict", "--data", str(data), "--split", "val", "--checkpoint", str(old),
+                 "--out", str(tmp_path / "p.jsonl")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "share_event_pe" in err and "norm_placement" in err
+
+
+@pytest.mark.parametrize("flag,value,named", [("--d-obj", "8", "d_obj"),
+                                               ("--n-verbs", "5", "lexicon")])
+def test_predict_rejects_checkpoint_that_does_not_fit_data(workspace, tmp_path, capsys,
+                                                          flag, value, named):
+    _, _, run = workspace
+    args = list(SYNTH_ARGS)
+    args[args.index(flag) + 1] = value
+    other = tmp_path / "other"
+    assert main(["synth", "--out", str(other)] + args) == 0
+    code = main(["predict", "--data", str(other), "--split", "val",
+                 "--checkpoint", str(run / "checkpoint_last.bin"),
+                 "--out", str(tmp_path / "p.jsonl")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and named in err

@@ -282,18 +282,6 @@ def test_encoder_layer_preserves_token_count():
     assert out.shape == (5, 8)
 
 
-def test_pre_norm_layer_with_zero_ffn_equals_attention_sublayer():
-    layer = dm.TransformerLayer(8, 2, rng(18), norm_placement="pre")
-    layer.ffn_out.w.data[:] = 0.0
-    layer.ffn_out.b.data[:] = 0.0
-    x = dm.Tensor(rng(19).normal(size=(4, 8)).astype(np.float32))
-    out, _ = layer(x)
-    h = layer.ln1(x)
-    a, _ = layer.self_attn(h, h, None)
-    expected = dm.add(x, a)
-    np.testing.assert_array_equal(out.data, expected.data)
-
-
 def test_post_norm_layer_matches_straight_line_oracle():
     layer = dm.TransformerLayer(8, 2, rng(20))
     x = dm.Tensor(rng(21).normal(size=(2, 8)).astype(np.float32))
@@ -375,6 +363,31 @@ def test_checkpoint_truncated_payload(tmp_path):
     path.write_bytes(raw[:-4])
     with pytest.raises(ValueError, match="truncated"):
         dm.load_tensors(path)
+
+
+def test_checkpoint_trailing_payload(tmp_path):
+    path = tmp_path / "params.bin"
+    dm.save_tensors(path, {"w": np.ones((2, 2), dtype=np.float32)})
+    path.write_bytes(path.read_bytes() + b"\0" * 7)
+    with pytest.raises(dm.CheckpointError, match="7 trailing payload bytes"):
+        dm.load_tensors(path)
+
+
+def test_checkpoint_header_not_json(tmp_path):
+    path = tmp_path / "params.bin"
+    path.write_bytes(b"not a checkpoint\n")
+    with pytest.raises(dm.CheckpointError, match="not a JSON manifest"):
+        dm.load_tensors(path)
+
+
+def test_checkpoint_failed_write_keeps_old_file(tmp_path):
+    path = tmp_path / "params.bin"
+    dm.save_tensors(path, {"w": np.ones((2, 2), dtype=np.float32)}, meta={"epoch": 1})
+    before = path.read_bytes()
+    with pytest.raises(TypeError):  # the manifest cannot be serialised
+        dm.save_tensors(path, {"w": np.zeros((2, 2), dtype=np.float32)}, meta={"epoch": {1}})
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["params.bin"]
 
 
 def test_tensor_rejects_rank_5():

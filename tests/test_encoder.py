@@ -24,10 +24,20 @@ def full_sample():
 
 
 def small_cfg(**kw):
-    defaults = dict(d_model=16, n_heads=2, n_layers=2, dropout=0.0,
+    defaults = dict(d_model=16, n_heads=2, n_layers=2,
                     d_vid=16, d_obj=16, n_verbs=6, vocab_size=20)
     defaults.update(kw)
     return ModelConfig(**defaults)
+
+
+def test_model_config_dict_round_trip_names_keys_that_do_not_fit():
+    cfg = small_cfg()
+    assert ModelConfig.from_dict(cfg.to_dict()) == cfg
+    old = {**cfg.to_dict(), "share_event_pe": True}
+    del old["d_obj"]
+    with pytest.raises(dm.CheckpointError, match=r"unknown keys \['share_event_pe'\], "
+                                                  r"missing keys \['d_obj'\]"):
+        ModelConfig.from_dict(old)
 
 
 @pytest.fixture(scope="module")
@@ -110,16 +120,15 @@ def test_encode_equivariant_under_object_permutation(full_sample, encoder):
 
 
 def test_single_layer_zero_ffn_matches_attention_oracle():
-    cfg = small_cfg(n_layers=1, norm_placement="pre")
+    cfg = small_cfg(n_layers=1)
     enc = VideoObjectEncoder(cfg, rng(5))
     layer = enc.layers[0]
     layer.ffn_out.w.data[:] = 0.0
     layer.ffn_out.b.data[:] = 0.0
     tokens = dm.Tensor(rng(6).normal(size=(12, 16)).astype(np.float32))
     o_ctx, e_ctx = enc.encode(tokens)
-    h = layer.ln1(tokens)
-    attn, _ = layer.self_attn(h, h, None)
-    expected = dm.add(tokens, attn).data
+    attn, _ = layer.self_attn(tokens, tokens, None)
+    expected = layer.ln2(layer.ln1(dm.add(tokens, attn))).data
     np.testing.assert_allclose(np.vstack([o_ctx.data, e_ctx.data]), expected, atol=1e-6)
 
 

@@ -13,7 +13,7 @@ from vidsrl.encoder import ModelConfig
 from vidsrl.srl import (
     FALLBACK_ROLE, CaptionDecoder, RoleObjectDecoder, RoleQuery, SituationModel,
     build_event_mask, build_role_queries, decode_roles, extract_grounding,
-    generate_caption, read_predictions, records_from_json, records_to_json,
+    read_predictions, records_from_json, records_to_json,
     write_predictions,
 )
 from vidsrl.synth import SynthConfig, generate
@@ -26,7 +26,7 @@ def rng(seed=0):
 
 
 def small_cfg(**kw):
-    defaults = dict(d_model=16, n_heads=2, n_layers=2, dropout=0.0,
+    defaults = dict(d_model=16, n_heads=2, n_layers=2,
                     d_vid=16, d_obj=16, n_verbs=6, vocab_size=20)
     defaults.update(kw)
     return ModelConfig(**defaults)
@@ -217,8 +217,7 @@ def test_caption_forced_eos_gives_empty(model):
     cap.out.w.data[:] = 0.0
     cap.out.b.data[:] = 0.0
     cap.out.b.data[EOS] = 10.0
-    ids = generate_caption(cap, np.zeros(16, dtype=np.float32), model.vocab)
-    assert ids == []
+    assert cap.greedy(dm.Tensor(np.zeros((1, 16), dtype=np.float32))) == [[]]
 
 
 def test_caption_greedy_deterministic(model):

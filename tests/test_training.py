@@ -265,14 +265,13 @@ def test_config_file_parsing(tmp_path):
     epochs = 10
     verb_loss_mode = focal
     focal_gamma = 1.5
-    M = 6
     degrade_objects = true
     """
     cfg = parse_config_text(text)
     assert cfg.lr == pytest.approx(1e-3)
     assert cfg.batch_size == 4 and cfg.epochs == 10
     assert cfg.verb_loss_mode == "focal" and cfg.focal_gamma == 1.5
-    assert cfg.n_slots == 6 and cfg.degrade_objects is True
+    assert cfg.degrade_objects is True
     path = tmp_path / "run.cfg"
     path.write_text(text)
     assert load_config(path) == cfg
@@ -281,6 +280,9 @@ def test_config_file_parsing(tmp_path):
 def test_config_unknown_key_lists_valid_keys():
     with pytest.raises(ConfigError, match="valid keys.*batch_size"):
         parse_config_text("warmup = 5")
+    for key in ("fps", "M"):  # frame rate and proposals per frame come from the data
+        with pytest.raises(ConfigError, match=f"unknown config key '{key}'"):
+            parse_config_text(f"{key} = 1")
 
 
 def test_config_rejects_bad_values():

@@ -12,6 +12,9 @@ import csv
 import json
 import os
 import sys
+import time
+
+import numpy as np
 
 from .data_model import (
     ROLES, DatasetError, load_dataset_dir, validate_sample,
@@ -145,11 +148,26 @@ def cmd_predict(args) -> int:
     samples, lexicon = load_dataset_dir(args.data, split=args.split)
     model = SituationModel.load(args.checkpoint)
     model.check_data(samples, lexicon)
-    per_video = [model.predict_situation(s, regime=args.regime, keep_alpha=args.dump_alpha)
-                 for s in samples]
+    per_video, ms = [], []
+    for s in samples:
+        start = time.perf_counter()
+        per_video.append(model.predict_situation(s, regime=args.regime,
+                                                 keep_alpha=args.dump_alpha))
+        ms.append((time.perf_counter() - start) * 1e3)
     write_predictions(args.out, per_video, include_alpha=args.dump_alpha)
     print(f"wrote predictions for {len(per_video)} videos to {args.out}")
+    steps = [_decode_steps(records, model.cfg.max_caption_len) for records in per_video]
+    print(f"predict: {len(per_video)} videos, {np.median(ms):.2f} ms/video p50, "
+          f"{np.percentile(ms, 90):.2f} ms p90, {np.mean(steps):.2f} decode steps/video")
     return 0
+
+
+def _decode_steps(records, max_caption_len: int) -> int:
+    """Greedy steps one video took: its longest caption's token count + 1
+    for the closing EOS, capped at ``max_caption_len + 1``. Reserved tokens
+    are not in the caption text, so a caption that holds one undercounts."""
+    longest = max((len(rp.caption.split()) for rec in records for rp in rec.roles), default=0)
+    return min(longest, max_caption_len) + 1
 
 
 def cmd_eval(args) -> int:

@@ -6,6 +6,9 @@ arrays are kept as-is so the gradient checker can re-run a graph at higher
 precision. Forward and backward passes are single-threaded and fully
 deterministic: parent lists are ordered and gradient accumulation happens
 in a fixed order.
+
+Inference runs under :func:`no_grad`, where every op returns a plain leaf
+tensor and no graph is recorded.
 """
 
 from __future__ import annotations
@@ -13,10 +16,26 @@ from __future__ import annotations
 import json
 import math
 import os
+from contextlib import contextmanager
 
 import numpy as np
 
 _FLOAT_DTYPES = (np.float32, np.float64)
+_grad_enabled = True
+
+
+@contextmanager
+def no_grad():
+    """Record no graph inside the block: ops return leaf tensors with
+    ``requires_grad=False``, no parents and no backward closure. The
+    previous mode is restored on exit, also after an exception."""
+    global _grad_enabled
+    previous = _grad_enabled
+    _grad_enabled = False
+    try:
+        yield
+    finally:
+        _grad_enabled = previous
 
 
 class Tensor:
@@ -136,6 +155,8 @@ def _unbroadcast(g, shape):
 
 
 def _node(data, parents, backward) -> Tensor:
+    if not _grad_enabled:
+        return Tensor(data)
     grad_parents = tuple(p for p in parents if p.requires_grad)
     out = Tensor(data, requires_grad=bool(grad_parents))
     if grad_parents:
@@ -596,6 +617,29 @@ class AttentionBlock:
         )
         return self.wo(out), weights
 
+    def step(self, x: Tensor, cache=None):
+        """Causal self-attention for the newest position of n sequences.
+
+        ``x`` is (n, d); ``cache`` is None at the first position, else the
+        keys and values of the earlier positions, each (n, heads, t, dh).
+        The new key and value are appended and the query attends to every
+        cached position, which is causal by construction, so no mask is
+        needed (incremental decoding, Shazeer 2019, arXiv:1911.02150).
+        Returns the (n, d) output and the grown cache.
+        """
+        n, d = x.shape
+        dh = d // self.n_heads
+        shape = (n, self.n_heads, 1, dh)
+        q = reshape(mul(self.wq(x), 1.0 / math.sqrt(dh)), shape)
+        k = reshape(self.wk(x), shape)
+        v = reshape(self.wv(x), shape)
+        if cache is not None:
+            k = concat([cache[0], k], axis=2)
+            v = concat([cache[1], v], axis=2)
+        weights = masked_softmax(matmul(q, transpose(k, (0, 1, 3, 2))))  # (n, h, 1, t)
+        out = reshape(matmul(weights, v), (n, d))
+        return self.wo(out), (k, v)
+
     def named_parameters(self, prefix: str):
         for name, block in (("wq", self.wq), ("wk", self.wk), ("wv", self.wv), ("wo", self.wo)):
             yield from block.named_parameters(f"{prefix}.{name}")
@@ -636,6 +680,21 @@ class TransformerLayer:
         f = self.ffn_out(relu(self.ffn_in(x)))
         x = self.ln2(add(x, drop(f)))
         return x, cross_weights
+
+    def step(self, x: Tensor, cache, cross_out: Tensor):
+        """One incremental decoding position per sequence, for inference.
+
+        ``x`` is (n, d), the newest position of n sequences. Self-attention
+        runs against ``cache`` (see ``AttentionBlock.step``). ``cross_out``
+        (n, d) is added in place of the cross-attention sublayer's output,
+        which is constant when each sequence attends to a single memory row.
+        Returns the (n, d) output and the grown cache.
+        """
+        a, cache = self.self_attn.step(x, cache)
+        x = self.ln1(add(x, a))
+        x = self.ln_cross(add(x, cross_out))
+        x = self.ln2(add(x, self.ffn_out(relu(self.ffn_in(x)))))
+        return x, cache
 
     def named_parameters(self, prefix: str):
         yield from self.self_attn.named_parameters(f"{prefix}.self_attn")

@@ -3,10 +3,12 @@ object proposals, autoregressive caption generation per role, and grounding
 extracted from the final decoder layer's attention map.
 
 All role queries of a video are decoded jointly (self-attention spans the
-whole video) and all captions are generated in parallel by concatenating one
-block per role: a block-diagonal causal self mask keeps the blocks
-independent, and a one-hot cross mask gives each block its own role vector
-as a length-1 memory.
+whole video). In training, all captions are teacher-forced in parallel by
+concatenating one block per role: a block-diagonal causal self mask keeps the
+blocks independent, and a one-hot cross mask gives each block its own role
+vector as a length-1 memory. At inference, greedy decoding feeds one token
+per role and step against cached keys and values, and prediction records no
+autodiff graph.
 """
 
 from __future__ import annotations
@@ -160,7 +162,15 @@ def _block_masks(n_blocks: int, length: int):
 
 
 class CaptionDecoder:
-    """Autoregressive transformer decoder conditioned on one role vector."""
+    """Autoregressive transformer decoder conditioned on one role vector.
+
+    Each caption position cross-attends to a single key, its own role
+    vector, so the cross-attention softmax is exactly 1 and the sublayer's
+    output is exactly ``wo(wv(z))`` for that role, whatever ``wq``/``wk``
+    hold (they never receive a gradient). ``greedy`` relies on this
+    identity: it computes that output once per call and layer instead of
+    attending at every step.
+    """
 
     def __init__(self, cfg: ModelConfig, rng: np.random.Generator):
         self.cfg = cfg
@@ -189,22 +199,37 @@ class CaptionDecoder:
 
     def greedy(self, z: dm.Tensor, max_len: int | None = None) -> list[list[int]]:
         """Greedy decoding for every role in lockstep; returns token ids per
-        role, truncated before the first EOS (BOS/EOS excluded)."""
+        role, truncated before the first EOS (BOS/EOS excluded).
+
+        Decoding is incremental and records no graph: each step feeds only
+        the newest token of every role, each layer caches the prefix's
+        self-attention keys and values, the cross-attention output is the
+        constant of the class docstring, and only the newest position is
+        projected to the vocabulary.
+        """
         max_len = self.cfg.max_caption_len if max_len is None else max_len
         if max_len < 1:
             raise ValueError("max_len must be >= 1")
-        n_blocks = z.shape[0]
-        tokens = np.full((n_blocks, 1), BOS, dtype=np.int64)
-        done = np.zeros(n_blocks, dtype=bool)
-        for _ in range(max_len + 1):  # +1 gives room for the closing EOS
-            logits = self.logits(tokens, z).data[:, -1, :]
-            nxt = logits.argmax(axis=1)
-            tokens = np.concatenate([tokens, nxt[:, None]], axis=1)
-            done |= nxt == EOS
-            if done.all():
-                break
+        if max_len > self.cfg.max_caption_len + 1:
+            raise ValueError(f"caption length {max_len + 1} exceeds the positional table")
+        n_roles = z.shape[0]
+        token = np.full(n_roles, BOS, dtype=np.int64)
+        done = np.zeros(n_roles, dtype=bool)
+        steps = []
+        with dm.no_grad():
+            cross = [layer.cross_attn.wo(layer.cross_attn.wv(z)) for layer in self.layers]
+            caches = [None] * len(self.layers)
+            for t in range(max_len + 1):  # +1 gives room for the closing EOS
+                x = dm.add(self.token_embed(token), self.pos_embed(np.full(n_roles, t)))
+                for i, layer in enumerate(self.layers):
+                    x, caches[i] = layer.step(x, caches[i], cross[i])
+                token = self.out(x).data.argmax(axis=1)
+                steps.append(token)
+                done |= token == EOS
+                if done.all():
+                    break
         out = []
-        for row in tokens[:, 1:]:
+        for row in np.stack(steps, axis=1):
             ids = []
             for t in row:
                 if t == EOS:
@@ -319,21 +344,25 @@ class SituationModel:
 
     def predict_situation(self, sample: VideoSample, regime: str = "gt-roles",
                           keep_alpha: bool = False) -> list[PredictionRecord]:
-        """Run all three stages on one video and assemble per-event records."""
-        inputs = prepare_inputs(sample, degrade_objects=self.cfg.degrade_objects)
-        o_ctx, e_ctx = self.encoder.forward(inputs)
-        verb_logits = self.encoder.predict_verbs(e_ctx).data
-        verb_pred = verb_logits.argmax(axis=1)
-        top5 = np.argsort(-verb_logits, axis=1, kind="stable")[:, :5]
-        _, pred_sets = self.encoder.predict_roles(e_ctx)
+        """Run all three stages on one video and assemble per-event records.
 
-        role_sets = self.role_sets_for(sample, regime, verb_pred, pred_sets)
-        queries, index = build_role_queries(
-            role_sets, e_ctx, self.role_decoder.role_embed.table, self.encoder.pe_event.table)
-        mask = build_event_mask(index, sample.schedule, sample.n_slots)
-        output = decode_roles(self.role_decoder, queries, index, dm.Tensor(o_ctx.data), mask)
+        Runs under ``dm.no_grad()``: no autodiff graph is recorded.
+        """
+        with dm.no_grad():
+            inputs = prepare_inputs(sample, degrade_objects=self.cfg.degrade_objects)
+            o_ctx, e_ctx = self.encoder.forward(inputs)
+            verb_logits = self.encoder.predict_verbs(e_ctx).data
+            verb_pred = verb_logits.argmax(axis=1)
+            top5 = np.argsort(-verb_logits, axis=1, kind="stable")[:, :5]
+            _, pred_sets = self.encoder.predict_roles(e_ctx)
 
-        captions = self.captioner.greedy(dm.Tensor(output.z))
+            role_sets = self.role_sets_for(sample, regime, verb_pred, pred_sets)
+            queries, index = build_role_queries(
+                role_sets, e_ctx, self.role_decoder.role_embed.table, self.encoder.pe_event.table)
+            mask = build_event_mask(index, sample.schedule, sample.n_slots)
+            output = decode_roles(self.role_decoder, queries, index, o_ctx, mask)
+
+            captions = self.captioner.greedy(dm.Tensor(output.z))
 
         per_event: dict[int, list[RolePrediction]] = {i: [] for i in range(len(sample.events))}
         for qi, q in enumerate(index):

@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 from vidsrl import diffmath as dm
 from vidsrl.cli import main
 from vidsrl.data_model import ROLE_IDS, load_dataset_dir, roles_for_verb
-from vidsrl.srl import read_predictions
+from vidsrl.srl import SituationModel, read_predictions
 
 
 def digest(root: Path) -> str:
@@ -114,6 +115,25 @@ def test_predict_eval_ground_pipeline(workspace, capsys):
         rows = list(csv.reader(f))
     assert rows[0] == ["video", "event", "role", "frame", "x1", "y1", "x2", "y2", "score"]
     assert len(rows) > 1
+
+
+def test_predict_prints_latency_and_decode_steps(workspace, capsys):
+    root, data, run = workspace
+    preds = root / "preds_summary.jsonl"
+    capsys.readouterr()
+    assert main(["predict", "--data", str(data), "--split", "val",
+                 "--checkpoint", str(run / "checkpoint_last.bin"), "--regime", "pred-pred",
+                 "--out", str(preds)]) == 0
+    line = capsys.readouterr().out.strip().splitlines()[-1]
+    m = re.fullmatch(r"predict: (\d+) videos, ([\d.]+) ms/video p50, ([\d.]+) ms p90, "
+                     r"([\d.]+) decode steps/video", line)
+    assert m, line
+    assert int(m[1]) == 2 and 0 < float(m[2]) <= float(m[3])
+    # a video's steps: its longest caption's tokens + 1, capped at max_caption_len + 1
+    max_len = SituationModel.load(run / "checkpoint_last.bin").cfg.max_caption_len
+    steps = [min(max(len(rp.caption.split()) for rec in recs for rp in rec.roles), max_len) + 1
+             for recs in read_predictions(preds)]
+    assert float(m[4]) == pytest.approx(np.mean(steps), abs=0.005)
 
 
 def test_predict_gt_map_role_sets_match_lookup(workspace):

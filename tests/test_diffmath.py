@@ -328,12 +328,89 @@ def test_layer_gradients_flow_end_to_end():
     assert err < 1e-6
 
 
+def test_attention_step_matches_causal_attention_over_the_prefix():
+    block = dm.AttentionBlock(8, 2, rng(28))
+    x = rng(29).normal(size=(3, 5, 8)).astype(np.float32)  # 3 sequences of 5
+    causal = np.tril(np.ones((5, 5), dtype=bool))
+    cache = None
+    for t in range(5):
+        out, cache = block.step(dm.Tensor(x[:, t]), cache)
+        assert cache[0].shape == cache[1].shape == (3, 2, t + 1, 4)
+        for r in range(3):
+            full, _ = block(dm.Tensor(x[r]), dm.Tensor(x[r]), causal)
+            np.testing.assert_allclose(out.data[r], full.data[t], atol=1e-6)
+
+
+def test_layer_step_matches_full_layer_with_one_memory_row_per_sequence():
+    layer = dm.TransformerLayer(8, 2, rng(30), cross=True)
+    x = rng(31).normal(size=(2, 4, 8)).astype(np.float32)
+    z = dm.Tensor(rng(32).normal(size=(2, 8)).astype(np.float32))
+    cross = layer.cross_attn.wo(layer.cross_attn.wv(z))
+    causal = np.tril(np.ones((4, 4), dtype=bool))
+    cache = None
+    for t in range(4):
+        out, cache = layer.step(dm.Tensor(x[:, t]), cache, cross)
+        for r in range(2):
+            full, _ = layer(dm.Tensor(x[r]), memory=dm.Tensor(z.data[r:r + 1]),
+                            self_mask=causal, cross_mask=np.ones((4, 1), dtype=bool))
+            np.testing.assert_allclose(out.data[r], full.data[t], atol=1e-5)
+
+
 def test_dropout_zero_is_identity_and_seeded():
     x = dm.Tensor(np.ones((4, 4), dtype=np.float32))
     assert dm.dropout(x, 0.0, rng(0)) is x
     a = dm.dropout(x, 0.5, rng(42)).data
     b = dm.dropout(x, 0.5, rng(42)).data
     np.testing.assert_array_equal(a, b)
+
+
+# -- no-grad mode -----------------------------------------------------------------
+
+
+def test_no_grad_nodes_are_plain_leaves():
+    w = dm.Tensor(rng(40).normal(size=(3, 4)).astype(np.float32), requires_grad=True)
+    x = dm.Tensor(rng(41).normal(size=(2, 3)).astype(np.float32))
+    with dm.no_grad():
+        for out in (dm.matmul(x, w), dm.relu(w), dm.add(w, w), dm.layer_norm(
+                w, dm.Tensor(np.ones(4), requires_grad=True), dm.Tensor(np.zeros(4)))):
+            assert out.requires_grad is False
+            assert out._parents == () and out._backward is None
+    assert dm.matmul(x, w).requires_grad
+
+
+def test_no_grad_restores_mode_after_exception_and_nesting():
+    w = dm.Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
+    with pytest.raises(RuntimeError, match="inside"):
+        with dm.no_grad():
+            raise RuntimeError("inside")
+    assert dm.add(w, w).requires_grad
+    with dm.no_grad():
+        with dm.no_grad():
+            pass
+        assert not dm.add(w, w).requires_grad  # the inner exit keeps the outer mode
+    assert dm.add(w, w).requires_grad
+
+
+def test_graph_after_no_grad_backpropagates_as_before():
+    layer = dm.TransformerLayer(8, 2, rng(42))
+    params = [p for _, p in layer.named_parameters("l")]
+    x = dm.Tensor(rng(43).normal(size=(3, 8)).astype(np.float32))
+
+    def grads():
+        for p in params:
+            p.grad = None
+        weighted_sum(layer(x)[0]).backward()
+        return [p.grad.copy() for p in params]
+
+    before = grads()
+    for p in params:
+        p.grad = None
+    with dm.no_grad():
+        layer(x)
+    assert all(p.grad is None for p in params)
+    after = grads()
+    for a, b in zip(before, after):
+        np.testing.assert_array_equal(a, b)
 
 
 # -- checkpoint archive ---------------------------------------------------------------

@@ -6,13 +6,13 @@ import pytest
 
 from vidsrl import diffmath as dm
 from vidsrl.data_model import (
-    EOS, ROLE_IDS, build_frame_schedule, build_vocabulary, make_events,
+    BOS, EOS, ROLE_IDS, build_frame_schedule, build_vocabulary, make_events,
     roles_for_verb,
 )
 from vidsrl.encoder import ModelConfig
 from vidsrl.srl import (
     FALLBACK_ROLE, CaptionDecoder, RoleObjectDecoder, RoleQuery, SituationModel,
-    build_event_mask, build_role_queries, decode_roles, extract_grounding,
+    _block_masks, build_event_mask, build_role_queries, decode_roles, extract_grounding,
     read_predictions, records_from_json, records_to_json,
     write_predictions,
 )
@@ -246,7 +246,71 @@ def test_caption_max_len_respected(model):
         model.captioner.greedy(dm.Tensor(z), max_len=0)
 
 
+def full_prefix_greedy(cap, z, max_len):
+    """Oracle for ``CaptionDecoder.greedy``: every step re-runs the
+    teacher-forced ``logits`` over the whole prefix and takes the argmax at
+    its last position. Returns the captions and the number of steps run."""
+    n_roles = z.shape[0]
+    tokens = np.full((n_roles, 1), BOS, dtype=np.int64)
+    done = np.zeros(n_roles, dtype=bool)
+    for _ in range(max_len + 1):
+        nxt = cap.logits(tokens, z).data[:, -1].argmax(axis=1)
+        tokens = np.concatenate([tokens, nxt[:, None]], axis=1)
+        done |= nxt == EOS
+        if done.all():
+            break
+    captions = []
+    for row in tokens[:, 1:].tolist():
+        captions.append((row[:row.index(EOS)] if EOS in row else row)[:max_len])
+    return captions, tokens.shape[1] - 1
+
+
+def test_cached_greedy_matches_oracle_on_untrained_captioner():
+    # this random captioner never emits EOS, so all max_len + 1 steps run
+    cap = CaptionDecoder(small_cfg(vocab_size=24), rng(26))
+    z = dm.Tensor(rng(126).normal(size=(4, 16)).astype(np.float32))
+    max_len = cap.cfg.max_caption_len
+    expected, steps = full_prefix_greedy(cap, z, max_len)
+    assert steps == max_len + 1 and all(len(c) == max_len for c in expected)
+    assert cap.greedy(z) == expected
+
+
+@pytest.mark.parametrize("eos_bias", [1.25, 1.45])
+def test_cached_greedy_matches_oracle_when_roles_stop_at_different_steps(eos_bias):
+    # raising the EOS bias of a random captioner makes some roles stop early:
+    # at 1.25 two roles stop and two run to max_len; at 1.45 all four stop,
+    # at different steps, so the lockstep loop ends early
+    cap = CaptionDecoder(small_cfg(vocab_size=24), rng(26))
+    cap.out.b.data[EOS] += eos_bias
+    z = dm.Tensor(rng(126).normal(size=(4, 16)).astype(np.float32))
+    max_len = cap.cfg.max_caption_len
+    expected, _ = full_prefix_greedy(cap, z, max_len)
+    lengths = [len(c) for c in expected]
+    assert len(set(lengths)) > 1 and min(lengths) < max_len
+    assert cap.greedy(z) == expected
+
+
+def test_captioner_cross_attention_to_one_role_is_its_value_row(model):
+    # the identity greedy relies on: one allowed key per position gives a
+    # softmax of exactly 1, so the output is that role's wv(z) row exactly
+    n_roles, length = 3, 4
+    attn = model.captioner.layers[0].cross_attn
+    x = dm.Tensor(rng(27).normal(size=(n_roles * length, 16)).astype(np.float32))
+    z = dm.Tensor(rng(28).normal(size=(n_roles, 16)).astype(np.float32))
+    _, cross_mask = _block_masks(n_roles, length)
+    out, weights = dm.multi_head_attention(attn.wq(x), attn.wk(z), attn.wv(z),
+                                           attn.n_heads, cross_mask)
+    assert np.array_equal(out.data, np.repeat(attn.wv(z).data, length, axis=0))
+    assert np.array_equal(weights.data, cross_mask.astype(np.float32))
+
+
 # -- full prediction --------------------------------------------------------------------
+
+
+def test_predict_leaves_every_gradient_unset(model, synth_result):
+    model.predict_situation(synth_result.train[0], regime="pred-pred")
+    assert all(p.grad is None for p in model.parameters())
+
 
 
 def test_predict_structural_gt_roles(model, synth_result):

@@ -437,12 +437,14 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     return _node(data, (x, gain, bias), make)
 
 
-def dropout(x: Tensor, p: float, rng: np.random.Generator) -> Tensor:
-    """Inverted dropout; identity when p == 0. Consumes rng deterministically."""
+def dropout(x: Tensor, p: float, rng: np.random.Generator, shape=None) -> Tensor:
+    """Inverted dropout; identity when p == 0. Consumes rng deterministically.
+    Draws one keep decision per element of ``shape`` (default: x's own), to
+    which x is broadcast."""
     if p <= 0.0:
         return x
     x = _as_tensor(x)
-    keep = (rng.random(x.data.shape) >= p).astype(x.data.dtype) / (1.0 - p)
+    keep = (rng.random(shape or x.data.shape) >= p).astype(x.data.dtype) / (1.0 - p)
     return mul(x, keep)
 
 
@@ -527,27 +529,31 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, mask=Non
                          need_weights: bool = True):
     """Scaled dot-product attention over ``n_heads`` heads with a shared mask.
 
-    q is (nq, d); k and v are (nk, d). Returns the merged (nq, d) output and
-    the head-averaged attention weights (nq, nk) for inspection (None when
-    need_weights is False, which skips the reduction).
+    q is (..., nq, d); k and v are (..., nk, d) with the same leading axes,
+    which batch independent sequences; ``mask`` (nq, nk) is shared by all of
+    them. Returns the merged (..., nq, d) output and the head-averaged
+    attention weights (..., nq, nk) for inspection (None when need_weights is
+    False, which skips the reduction).
     """
     q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
-    nq, d = q.data.shape
-    nk, dk = k.data.shape
-    if dk != d or v.data.shape != (nk, d):
+    *lead, nq, d = q.data.shape
+    nk = k.data.shape[-2]
+    if k.data.shape != (*lead, nk, d) or v.data.shape != k.data.shape:
         raise ValueError(f"attention dim mismatch: q{q.data.shape} k{k.data.shape} v{v.data.shape}")
     if d % n_heads != 0:
         raise ValueError(f"model dim {d} not divisible by {n_heads} heads")
     dh = d // n_heads
+    b = len(lead)
+    split = tuple(range(b)) + (b + 1, b, b + 2)  # (..., n, h, dh) <-> (..., h, n, dh)
     # scale the queries rather than the (much larger) score matrix
-    qh = transpose(reshape(mul(q, 1.0 / math.sqrt(dh)), (nq, n_heads, dh)), (1, 0, 2))
-    kh = transpose(reshape(k, (nk, n_heads, dh)), (1, 0, 2))
-    vh = transpose(reshape(v, (nk, n_heads, dh)), (1, 0, 2))
-    scores = matmul(qh, transpose(kh, (0, 2, 1)))
-    weights = masked_softmax(scores, mask)  # (h, nq, nk)
+    qh = transpose(reshape(mul(q, 1.0 / math.sqrt(dh)), (*lead, nq, n_heads, dh)), split)
+    kh = transpose(reshape(k, (*lead, nk, n_heads, dh)), split)
+    vh = transpose(reshape(v, (*lead, nk, n_heads, dh)), split)
+    scores = matmul(qh, transpose(kh, tuple(range(b + 1)) + (b + 2, b + 1)))
+    weights = masked_softmax(scores, mask)  # (..., h, nq, nk)
     out = matmul(weights, vh)
-    out = reshape(transpose(out, (1, 0, 2)), (nq, d))
-    avg = tensor_mean(weights, axis=0) if need_weights else None
+    out = reshape(transpose(out, split), (*lead, nq, d))
+    avg = tensor_mean(weights, axis=b) if need_weights else None
     return out, avg
 
 
@@ -564,7 +570,11 @@ class Linear:
         self.b = Tensor(rng.uniform(-bound, bound, d_out).astype(np.float32), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return add(matmul(x, self.w), self.b)
+        """Maps the last axis as one 2-D product over the flattened rows."""
+        if x.data.ndim <= 2:
+            return add(matmul(x, self.w), self.b)
+        y = add(matmul(reshape(x, (-1, x.shape[-1])), self.w), self.b)
+        return reshape(y, (*x.shape[:-1], y.shape[-1]))
 
     def named_parameters(self, prefix: str):
         yield f"{prefix}.w", self.w
@@ -621,24 +631,19 @@ class AttentionBlock:
         """Causal self-attention for the newest position of n sequences.
 
         ``x`` is (n, d); ``cache`` is None at the first position, else the
-        keys and values of the earlier positions, each (n, heads, t, dh).
-        The new key and value are appended and the query attends to every
-        cached position, which is causal by construction, so no mask is
-        needed (incremental decoding, Shazeer 2019, arXiv:1911.02150).
+        keys and values of the earlier positions, each (n, t, d). The new key
+        and value are appended and the query attends to every cached
+        position, which is causal by construction, so no mask is needed
+        (incremental decoding, Shazeer 2019, arXiv:1911.02150).
         Returns the (n, d) output and the grown cache.
         """
         n, d = x.shape
-        dh = d // self.n_heads
-        shape = (n, self.n_heads, 1, dh)
-        q = reshape(mul(self.wq(x), 1.0 / math.sqrt(dh)), shape)
-        k = reshape(self.wk(x), shape)
-        v = reshape(self.wv(x), shape)
+        q, k, v = (reshape(proj(x), (n, 1, d)) for proj in (self.wq, self.wk, self.wv))
         if cache is not None:
-            k = concat([cache[0], k], axis=2)
-            v = concat([cache[1], v], axis=2)
-        weights = masked_softmax(matmul(q, transpose(k, (0, 1, 3, 2))))  # (n, h, 1, t)
-        out = reshape(matmul(weights, v), (n, d))
-        return self.wo(out), (k, v)
+            k = concat([cache[0], k], axis=1)
+            v = concat([cache[1], v], axis=1)
+        out, _ = multi_head_attention(q, k, v, self.n_heads, need_weights=False)
+        return self.wo(reshape(out, (n, d))), (k, v)
 
     def named_parameters(self, prefix: str):
         for name, block in (("wq", self.wq), ("wk", self.wk), ("wv", self.wv), ("wo", self.wo)):
@@ -662,39 +667,46 @@ class TransformerLayer:
         self.ln2 = LayerNorm(d)
 
     def __call__(self, x: Tensor, memory: Tensor | None = None, self_mask=None,
-                 cross_mask=None, dropout_p: float = 0.0, rng=None):
-        cross_weights = None
-        if memory is not None and not self.cross:
+                 cross_mask=None, cross_out: Tensor | None = None,
+                 dropout_p: float = 0.0, rng=None):
+        """The layer over ``x`` (..., n, d). The cross sublayer attends
+        ``memory`` under ``cross_mask``, or adds ``cross_out`` (..., 1, d) at
+        every position: its output when each sequence attends a single key.
+        Returns the output and the cross-attention weights (None without
+        ``memory``)."""
+        if (memory is not None or cross_out is not None) and not self.cross:
             raise ValueError("memory passed to a layer built without cross-attention")
-        if self.cross and memory is not None and cross_mask is None:
+        if memory is not None and cross_mask is None:
             raise ValueError("cross-attention memory supplied without a cross mask")
 
-        def drop(t):
-            return dropout(t, dropout_p, rng) if dropout_p > 0 else t
+        def drop(t):  # per element of x, also for a term shared by the positions
+            return dropout(t, dropout_p, rng, x.shape) if dropout_p > 0 else t
 
         a, _ = self.self_attn(x, x, self_mask, need_weights=False)
-        x = self.ln1(add(x, drop(a)))
-        if self.cross and memory is not None:
-            c, cross_weights = self.cross_attn(x, memory, cross_mask)
-            x = self.ln_cross(add(x, drop(c)))
-        f = self.ffn_out(relu(self.ffn_in(x)))
-        x = self.ln2(add(x, drop(f)))
-        return x, cross_weights
+        return self._sublayers(x, a, drop, memory, cross_mask, cross_out)
 
     def step(self, x: Tensor, cache, cross_out: Tensor):
         """One incremental decoding position per sequence, for inference.
 
         ``x`` is (n, d), the newest position of n sequences. Self-attention
-        runs against ``cache`` (see ``AttentionBlock.step``). ``cross_out``
-        (n, d) is added in place of the cross-attention sublayer's output,
-        which is constant when each sequence attends to a single memory row.
-        Returns the (n, d) output and the grown cache.
+        runs against ``cache`` (see ``AttentionBlock.step``); ``cross_out``
+        (n, d) is the cross sublayer's output for each sequence, as in
+        ``__call__``. Returns the (n, d) output and the grown cache.
         """
         a, cache = self.self_attn.step(x, cache)
-        x = self.ln1(add(x, a))
-        x = self.ln_cross(add(x, cross_out))
-        x = self.ln2(add(x, self.ffn_out(relu(self.ffn_in(x)))))
-        return x, cache
+        return self._sublayers(x, a, lambda t: t, cross_out=cross_out)[0], cache
+
+    def _sublayers(self, x, a, drop, memory=None, cross_mask=None, cross_out=None):
+        """Everything after self-attention (output ``a``): residuals, norms,
+        the cross sublayer and the FFN."""
+        x = self.ln1(add(x, drop(a)))
+        cross_weights = None
+        if memory is not None:
+            cross_out, cross_weights = self.cross_attn(x, memory, cross_mask)
+        if cross_out is not None:
+            x = self.ln_cross(add(x, drop(cross_out)))
+        f = self.ffn_out(relu(self.ffn_in(x)))
+        return self.ln2(add(x, drop(f))), cross_weights
 
     def named_parameters(self, prefix: str):
         yield from self.self_attn.named_parameters(f"{prefix}.self_attn")
@@ -726,6 +738,9 @@ def gradient_check(loss_fn, params, eps: float = 1e-3, samples: int = 50,
     kink_tol relative to the gradient scale the coordinate is discarded and
     another drawn. A wrong analytic gradient is still caught, because there
     the quotients agree with each other while disagreeing with the gradient.
+    The error is taken against the eps/2 quotient: when only the wider
+    interval straddles a kink, the two disagree by less than kink_tol, and
+    the eps quotient alone would report that disagreement as the error.
 
     With float64=True the parameters are temporarily cast to float64 so the
     whole graph (forward, backward and differences) runs at high precision.
@@ -778,7 +793,7 @@ def gradient_check(loss_fn, params, eps: float = 1e-3, samples: int = 50,
             if abs(fd - fd_half) > kink_tol * scale:
                 continue  # interval straddles a kink; quotient is not a derivative
             accepted += 1
-            rel = abs(float(analytic[pi].flat[flat]) - fd) / scale
+            rel = abs(float(analytic[pi].flat[flat]) - fd_half) / scale
             max_rel = max(max_rel, rel)
         return max_rel
     finally:

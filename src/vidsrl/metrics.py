@@ -204,26 +204,19 @@ def cider(candidates: list[str], references: list[list[str]]) -> float:
 
 
 def cider_grouped(candidates: list[str], references: list[list[str]],
-                  group_keys: list, per_group_idf: bool = False) -> float:
+                  group_keys: list) -> float:
     """Macro-average of per-group consensus over groups with at least one
-    pair. By default document frequencies come from the full corpus; the
-    per_group_idf flag recomputes them inside each group."""
+    pair; document frequencies come from the full corpus."""
     if len(group_keys) != len(candidates):
         raise ValueError("group_keys must align with candidates")
+    return _group_mean(cider_scores(candidates, references), group_keys)
+
+
+def _group_mean(scores: list[float], group_keys: list) -> float:
+    """Mean over groups of the mean per-item score inside each group."""
     groups: dict[object, list[int]] = {}
     for i, key in enumerate(group_keys):
         groups.setdefault(key, []).append(i)
-    if per_group_idf:
-        means = []
-        for key in sorted(groups):
-            idx = groups[key]
-            if len(idx) < 2:
-                continue  # per-group document frequencies need >= 2 pairs
-            means.append(cider([candidates[i] for i in idx], [references[i] for i in idx]))
-        if not means:
-            raise ValueError("no group has enough pairs for per-group idf scoring")
-        return float(np.mean(means))
-    scores = cider_scores(candidates, references)
     means = [float(np.mean([scores[i] for i in groups[key]])) for key in sorted(groups)]
     return float(np.mean(means))
 
@@ -283,8 +276,8 @@ class EvalReport:
 
 
 def evaluate(predictions: list[list[PredictionRecord]], samples: list[VideoSample],
-             thetas: tuple[float, ...] = (0.3, 0.5), strict_grounding: bool = False,
-             primary_verb_only: bool = False) -> EvalReport:
+             thetas: tuple[float, ...] = (0.3, 0.5),
+             strict_grounding: bool = False) -> EvalReport:
     """Full report over aligned predictions and ground truth.
 
     Captions are scored over (event, role) pairs for roles present in the
@@ -321,8 +314,7 @@ def evaluate(predictions: list[list[PredictionRecord]], samples: list[VideoSampl
 
         for i, ev in enumerate(sample.annotation.events):
             rec = by_event.get(i)
-            gt_verbs = set(ev.verbs[:1]) if primary_verb_only else set(ev.verbs)
-            gt_sets.append(gt_verbs)
+            gt_sets.append(set(ev.verbs))
             row = np.full(5, -1, dtype=np.int64) if rec is None else np.asarray(rec.top5_verbs)
             pred_rows.append(row)
             rec_roles = {} if rec is None else {rp.role: rp for rp in rec.roles}
@@ -347,10 +339,11 @@ def evaluate(predictions: list[list[PredictionRecord]], samples: list[VideoSampl
     acc5 = _ranked_accuracy(pred_rows, gt_sets)
     rec5 = _ranked_recall(pred_rows, gt_sets)
 
+    scores = cider_scores(candidates, references)  # scored once, grouped twice
     srl = {
-        "cider": cider(candidates, references) * 10.0,
-        "cider_vb": cider_grouped(candidates, references, verb_groups) * 10.0,
-        "cider_arg": cider_grouped(candidates, references, role_groups) * 10.0,
+        "cider": float(np.mean(scores)) * 10.0,
+        "cider_vb": _group_mean(scores, verb_groups) * 10.0,
+        "cider_arg": _group_mean(scores, role_groups) * 10.0,
         "rouge_l": float(np.mean(rouge_vals)),
     }
     grounding = {

@@ -3,12 +3,13 @@ object proposals, autoregressive caption generation per role, and grounding
 extracted from the final decoder layer's attention map.
 
 All role queries of a video are decoded jointly (self-attention spans the
-whole video). In training, all captions are teacher-forced in parallel by
-concatenating one block per role: a block-diagonal causal self mask keeps the
-blocks independent, and a one-hot cross mask gives each block its own role
-vector as a length-1 memory. At inference, greedy decoding feeds one token
-per role and step against cached keys and values, and prediction records no
-autodiff graph.
+whole video). Each role's caption is then decoded from its own role vector:
+the captioner runs on (n_roles, length, d), with one causal (length, length)
+self mask shared by the roles. Its cross sublayer attends a single key, the
+role vector, so it is the per-role term ``wo(wv(z))`` added at every
+position. In training all captions are teacher-forced in parallel; at
+inference, greedy decoding feeds one token per role and step against cached
+keys and values, and prediction records no autodiff graph.
 """
 
 from __future__ import annotations
@@ -140,36 +141,29 @@ def extract_grounding(alpha_row: np.ndarray, allowed: np.ndarray,
 # -- captioning (stage 3) ----------------------------------------------------
 
 
-_BLOCK_MASK_CACHE: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
+class OneKeyCrossAttention:
+    """The captioner's cross sublayer. Each caption attends a single key, its
+    own role vector z, so the softmax is exactly 1 and the output is
+    ``wo(wv(z))`` at every position, whatever the queries: there are no
+    query or key projections."""
 
+    def __init__(self, attn: dm.AttentionBlock):
+        self.wv, self.wo = attn.wv, attn.wo
 
-def _block_masks(n_blocks: int, length: int):
-    """Self mask (block-diagonal causal) and cross mask (one memory per block).
+    def __call__(self, z: dm.Tensor) -> dm.Tensor:
+        return self.wo(self.wv(z))
 
-    Cached by shape; callers must treat the returned arrays as read-only.
-    """
-    key = (n_blocks, length)
-    if key not in _BLOCK_MASK_CACHE:
-        causal = np.tril(np.ones((length, length), dtype=bool))
-        self_mask = np.zeros((n_blocks * length, n_blocks * length), dtype=bool)
-        cross_mask = np.zeros((n_blocks * length, n_blocks), dtype=bool)
-        for r in range(n_blocks):
-            s = r * length
-            self_mask[s:s + length, s:s + length] = causal
-            cross_mask[s:s + length, r] = True
-        _BLOCK_MASK_CACHE[key] = (self_mask, cross_mask)
-    return _BLOCK_MASK_CACHE[key]
+    def named_parameters(self, prefix: str):
+        yield from self.wv.named_parameters(f"{prefix}.wv")
+        yield from self.wo.named_parameters(f"{prefix}.wo")
 
 
 class CaptionDecoder:
     """Autoregressive transformer decoder conditioned on one role vector.
 
-    Each caption position cross-attends to a single key, its own role
-    vector, so the cross-attention softmax is exactly 1 and the sublayer's
-    output is exactly ``wo(wv(z))`` for that role, whatever ``wq``/``wk``
-    hold (they never receive a gradient). ``greedy`` relies on this
-    identity: it computes that output once per call and layer instead of
-    attending at every step.
+    Every role is its own sequence on a leading role axis. Self-attention is
+    causal within a role's caption; the cross sublayer is a per-role term
+    (see ``OneKeyCrossAttention``) added at every position.
     """
 
     def __init__(self, cfg: ModelConfig, rng: np.random.Generator):
@@ -179,23 +173,24 @@ class CaptionDecoder:
         self.pos_embed = dm.Embedding(cfg.max_caption_len + 2, d, rng)
         self.layers = [dm.TransformerLayer(d, cfg.n_heads, rng, cross=True)
                        for _ in range(cfg.n_layers)]
+        for layer in self.layers:
+            # wq/wk are drawn and dropped: skipping the draws would re-seed every later array
+            layer.cross_attn = OneKeyCrossAttention(layer.cross_attn)
         self.out = dm.Linear(d, cfg.vocab_size, rng)
 
     def logits(self, token_ids: np.ndarray, z: dm.Tensor,
                dropout_p: float = 0.0, rng=None) -> dm.Tensor:
-        """Next-token logits for (n_blocks, length) input ids against the
-        (n_blocks, d) role memory; returns (n_blocks, length, vocab)."""
-        n_blocks, length = token_ids.shape
+        """Next-token logits for (n_roles, length) input ids against the
+        (n_roles, d) role vectors; returns (n_roles, length, vocab)."""
+        n_roles, length = token_ids.shape
         if length > self.cfg.max_caption_len + 2:
             raise ValueError(f"caption length {length} exceeds the positional table")
-        flat = token_ids.reshape(-1)
-        x = dm.add(self.token_embed(flat),
-                   self.pos_embed(np.tile(np.arange(length), n_blocks)))
-        self_mask, cross_mask = _block_masks(n_blocks, length)
+        x = dm.add(self.token_embed(token_ids), self.pos_embed(np.arange(length)))
+        causal = np.tril(np.ones((length, length), dtype=bool))
         for layer in self.layers:
-            x, _ = layer(x, memory=z, self_mask=self_mask, cross_mask=cross_mask,
-                         dropout_p=dropout_p, rng=rng)
-        return dm.reshape(self.out(x), (n_blocks, length, self.cfg.vocab_size))
+            cross = dm.reshape(layer.cross_attn(z), (n_roles, 1, self.cfg.d_model))
+            x, _ = layer(x, self_mask=causal, cross_out=cross, dropout_p=dropout_p, rng=rng)
+        return self.out(x)
 
     def greedy(self, z: dm.Tensor, max_len: int | None = None) -> list[list[int]]:
         """Greedy decoding for every role in lockstep; returns token ids per
@@ -203,9 +198,8 @@ class CaptionDecoder:
 
         Decoding is incremental and records no graph: each step feeds only
         the newest token of every role, each layer caches the prefix's
-        self-attention keys and values, the cross-attention output is the
-        constant of the class docstring, and only the newest position is
-        projected to the vocabulary.
+        self-attention keys and values, the cross term is computed once per
+        call, and only the newest position is projected to the vocabulary.
         """
         max_len = self.cfg.max_caption_len if max_len is None else max_len
         if max_len < 1:
@@ -217,7 +211,7 @@ class CaptionDecoder:
         done = np.zeros(n_roles, dtype=bool)
         steps = []
         with dm.no_grad():
-            cross = [layer.cross_attn.wo(layer.cross_attn.wv(z)) for layer in self.layers]
+            cross = [layer.cross_attn(z) for layer in self.layers]
             caches = [None] * len(self.layers)
             for t in range(max_len + 1):  # +1 gives room for the closing EOS
                 x = dm.add(self.token_embed(token), self.pos_embed(np.full(n_roles, t)))

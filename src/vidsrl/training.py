@@ -46,7 +46,6 @@ class TrainConfig(ArchConfig):
     loss_w_role: float = 1.0
     loss_w_caption: float = 1.0
     dropout: float = 0.1
-    grad_clip: float = 0.0
     eval_every: int = 25
     vocab_min_count: int = 1
 
@@ -334,19 +333,6 @@ class Adam:
             p.grad = None
 
 
-def clip_gradients(named_params, max_norm: float):
-    total = 0.0
-    for _, p in named_params:
-        if p.grad is not None:
-            total += float((p.grad * p.grad).sum())
-    norm = total ** 0.5
-    if norm > max_norm > 0:
-        scale = max_norm / norm
-        for _, p in named_params:
-            if p.grad is not None:
-                p.grad *= scale
-
-
 # -- train loop ----------------------------------------------------------------
 
 
@@ -463,8 +449,6 @@ def train(train_samples: list[VideoSample], lexicon: VerbLexicon, cfg: TrainConf
                 for _, p in named:
                     if p.grad is not None:
                         p.grad *= inv
-                if cfg.grad_clip > 0:
-                    clip_gradients(named, cfg.grad_clip)
                 optimizer.step()
                 state.step += 1
             state.epoch = epoch + 1

@@ -260,6 +260,39 @@ def test_attention_dim_mismatch():
                                 dm.Tensor(np.zeros((3, 6))), 2)
 
 
+def test_batched_attention_equals_each_sequence_alone_and_gradients_check():
+    g = rng(33)
+    q = dm.Tensor(f64(g.normal(size=(2, 3, 8))), requires_grad=True)
+    k = dm.Tensor(f64(g.normal(size=(2, 5, 8))), requires_grad=True)
+    v = dm.Tensor(f64(g.normal(size=(2, 5, 8))), requires_grad=True)
+    mask = g.random((3, 5)) > 0.3
+    mask[:, 0] = True
+    out, w = dm.multi_head_attention(q, k, v, 2, mask)
+    assert out.shape == (2, 3, 8) and w.shape == (2, 3, 5)
+    for b in range(2):
+        out_b, w_b = dm.multi_head_attention(dm.Tensor(q.data[b]), dm.Tensor(k.data[b]),
+                                             dm.Tensor(v.data[b]), 2, mask)
+        np.testing.assert_allclose(out.data[b], out_b.data, atol=1e-12)
+        np.testing.assert_allclose(w.data[b], w_b.data, atol=1e-12)
+    err = dm.gradient_check(
+        lambda: weighted_sum(dm.multi_head_attention(q, k, v, 2, mask)[0]),
+        [q, k, v], eps=1e-5, samples=60, float64=True)
+    assert err < 1e-6
+
+
+def test_linear_maps_last_axis_of_nd_input_as_flattened_rows():
+    g = rng(34)
+    lin = dm.Linear(4, 3, g)
+    x = dm.Tensor(g.normal(size=(2, 5, 4)), requires_grad=True)
+    y = lin(x)
+    assert y.shape == (2, 5, 3)
+    np.testing.assert_array_equal(y.data.reshape(10, 3),
+                                  lin(dm.Tensor(x.data.reshape(10, 4))).data)
+    err = dm.gradient_check(lambda: weighted_sum(lin(x)), [x, lin.w, lin.b],
+                            eps=1e-5, samples=40, float64=True)
+    assert err < 1e-6
+
+
 def test_feature_behind_masked_edge_has_exactly_zero_gradient():
     # a key/value token visible only through masked attention edges gets no gradient
     g = rng(15)
@@ -335,7 +368,7 @@ def test_attention_step_matches_causal_attention_over_the_prefix():
     cache = None
     for t in range(5):
         out, cache = block.step(dm.Tensor(x[:, t]), cache)
-        assert cache[0].shape == cache[1].shape == (3, 2, t + 1, 4)
+        assert cache[0].shape == cache[1].shape == (3, t + 1, 8)
         for r in range(3):
             full, _ = block(dm.Tensor(x[r]), dm.Tensor(x[r]), causal)
             np.testing.assert_allclose(out.data[r], full.data[t], atol=1e-6)
@@ -347,9 +380,13 @@ def test_layer_step_matches_full_layer_with_one_memory_row_per_sequence():
     z = dm.Tensor(rng(32).normal(size=(2, 8)).astype(np.float32))
     cross = layer.cross_attn.wo(layer.cross_attn.wv(z))
     causal = np.tril(np.ones((4, 4), dtype=bool))
+    # teacher-forced: both sequences at once on a leading axis, one causal mask
+    forced, _ = layer(dm.Tensor(x), self_mask=causal, cross_out=dm.reshape(cross, (2, 1, 8)))
+    assert forced.shape == (2, 4, 8)
     cache = None
     for t in range(4):
         out, cache = layer.step(dm.Tensor(x[:, t]), cache, cross)
+        np.testing.assert_allclose(out.data, forced.data[:, t], atol=1e-5)
         for r in range(2):
             full, _ = layer(dm.Tensor(x[r]), memory=dm.Tensor(z.data[r:r + 1]),
                             self_mask=causal, cross_mask=np.ones((4, 1), dtype=bool))

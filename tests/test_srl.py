@@ -12,7 +12,7 @@ from vidsrl.data_model import (
 from vidsrl.encoder import ModelConfig
 from vidsrl.srl import (
     FALLBACK_ROLE, CaptionDecoder, RoleObjectDecoder, RoleQuery, SituationModel,
-    _block_masks, build_event_mask, build_role_queries, decode_roles, extract_grounding,
+    build_event_mask, build_role_queries, decode_roles, extract_grounding,
     read_predictions, records_from_json, records_to_json,
     write_predictions,
 )
@@ -290,18 +290,36 @@ def test_cached_greedy_matches_oracle_when_roles_stop_at_different_steps(eos_bia
     assert cap.greedy(z) == expected
 
 
-def test_captioner_cross_attention_to_one_role_is_its_value_row(model):
-    # the identity greedy relies on: one allowed key per position gives a
-    # softmax of exactly 1, so the output is that role's wv(z) row exactly
-    n_roles, length = 3, 4
-    attn = model.captioner.layers[0].cross_attn
-    x = dm.Tensor(rng(27).normal(size=(n_roles * length, 16)).astype(np.float32))
-    z = dm.Tensor(rng(28).normal(size=(n_roles, 16)).astype(np.float32))
-    _, cross_mask = _block_masks(n_roles, length)
-    out, weights = dm.multi_head_attention(attn.wq(x), attn.wk(z), attn.wv(z),
-                                           attn.n_heads, cross_mask)
-    assert np.array_equal(out.data, np.repeat(attn.wv(z).data, length, axis=0))
-    assert np.array_equal(weights.data, cross_mask.astype(np.float32))
+def test_caption_logits_of_each_role_equal_the_role_decoded_alone():
+    cap = CaptionDecoder(small_cfg(vocab_size=24), rng(27))
+    tokens = rng(127).integers(0, 24, size=(3, 6))
+    z = dm.Tensor(rng(128).normal(size=(3, 16)).astype(np.float32))
+    together = cap.logits(tokens, z)
+    assert together.shape == (3, 6, 24)
+    for r in range(3):
+        alone = cap.logits(tokens[r:r + 1], dm.Tensor(z.data[r:r + 1]))
+        np.testing.assert_allclose(together.data[r], alone.data[0], atol=1e-5)
+
+
+def test_captioner_init_is_a_cross_layer_stack_without_query_key_projections():
+    # the cross sublayer's wq/wk are drawn and dropped, so every kept array is
+    # bit-equal to the same draws made with full cross layers
+    cfg = small_cfg(vocab_size=24)
+    cap = CaptionDecoder(cfg, rng(29))
+    g = rng(29)
+    reference = {}
+    for name, block in (("token_embed", dm.Embedding(cfg.vocab_size, 16, g)),
+                        ("pos_embed", dm.Embedding(cfg.max_caption_len + 2, 16, g)),
+                        *((f"layers.{i}", dm.TransformerLayer(16, cfg.n_heads, g, cross=True))
+                          for i in range(cfg.n_layers)),
+                        ("out", dm.Linear(16, cfg.vocab_size, g))):
+        reference.update(block.named_parameters(f"captioner.{name}"))
+    kept = dict(cap.named_parameters())
+    dropped = {n for n in reference if ".cross_attn.wq." in n or ".cross_attn.wk." in n}
+    assert len(dropped) == 4 * cfg.n_layers
+    assert list(kept) == [n for n in reference if n not in dropped]
+    for name, p in kept.items():
+        assert np.array_equal(p.data, reference[name].data), name
 
 
 # -- full prediction --------------------------------------------------------------------

@@ -323,7 +323,9 @@ def test_train_loss_equals_sum_of_components(tiny_setup, tmp_path):
     train(result.train, result.lexicon, cfg, out)
     for entry in map(json.loads, (out / "metrics.jsonl").read_text().splitlines()):
         total = entry["loss_verb"] + entry["loss_role"] + entry["loss_caption"]
-        assert entry["loss"] == pytest.approx(total, abs=1e-6)
+        # the logged loss sums float32 totals, so it may differ from the sum
+        # of its logged parts by float32 rounding
+        assert entry["loss"] == pytest.approx(total, rel=2 * np.finfo(np.float32).eps)
 
 
 def test_train_loss_decreases_moving_average(tmp_path):

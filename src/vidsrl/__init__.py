@@ -10,7 +10,7 @@ from .data_model import (
 from .encoder import ModelConfig, VideoObjectEncoder
 from .metrics import EvalReport, box_iou, cider, cider_grouped, evaluate, rouge_l
 from .srl import (
-    REGIMES, CaptionDecoder, DecoderOutput, GroundingPrediction,
+    REGIMES, CaptionDecoder, GroundingPrediction,
     PredictionRecord, RoleObjectDecoder, SituationModel,
     build_event_mask, build_role_queries, extract_grounding,
 )

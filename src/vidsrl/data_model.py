@@ -349,9 +349,18 @@ def annotation_to_dict(ann: SituationAnnotation) -> dict:
     }
 
 
+_RECORD_KEYS = ("duration", "events", "event_features", "object_features", "boxes",
+                "annotation")
+
+
 def load_sample(record: dict, base_dir: str) -> VideoSample:
     """Build a VideoSample from one manifest record; raises DatasetError."""
+    if not isinstance(record, dict):
+        raise DatasetError(f"manifest record is not a JSON object: {record!r}")
     vid = record.get("id", "<missing id>")
+    missing = [key for key in _RECORD_KEYS if key not in record]
+    if missing:
+        raise DatasetError(f"{vid}: manifest record lacks {', '.join(map(repr, missing))}")
 
     def path_of(key):
         p = record[key]

@@ -851,17 +851,23 @@ def load_tensors(path):
         manifest = json.loads(header.decode("utf-8"))
     except ValueError as e:  # also covers bytes that are not UTF-8
         raise CheckpointError(f"checkpoint header is not a JSON manifest: {e}") from e
+    if not (isinstance(manifest, dict) and isinstance(manifest.get("params"), list)
+            and isinstance(manifest.get("meta", {}), dict)):
+        raise CheckpointError("checkpoint header is JSON but not a manifest: expected "
+                              "an object with a 'params' list and a 'meta' object")
     out = {}
     used = 0
     for entry in manifest["params"]:
-        dt = _DTYPE_TAGS[entry.get("dtype", "f32le")]
-        count = int(np.prod(entry["shape"])) if entry["shape"] else 1
-        start = entry["offset"]
+        try:
+            name, shape, start = entry["name"], entry["shape"], entry["offset"]
+            dt = _DTYPE_TAGS[entry.get("dtype", "f32le")]
+        except (AttributeError, KeyError, TypeError) as e:
+            raise CheckpointError(f"checkpoint manifest entry {entry!r} is malformed") from e
+        count = int(np.prod(shape)) if shape else 1
         end = start + count * dt.itemsize
         if end > len(payload):
-            raise CheckpointError(f"checkpoint payload truncated for {entry['name']!r}")
-        arr = np.frombuffer(payload[start:end], dtype=dt).reshape(entry["shape"])
-        out[entry["name"]] = arr.astype(dt.base)
+            raise CheckpointError(f"checkpoint payload truncated for {name!r}")
+        out[name] = np.frombuffer(payload[start:end], dtype=dt).reshape(shape).astype(dt.base)
         used = max(used, end)
     if len(payload) > used:
         raise CheckpointError(f"checkpoint has {len(payload) - used} trailing payload bytes")

@@ -36,15 +36,6 @@ class RoleQuery:
     role: int
 
 
-@dataclass
-class DecoderOutput:
-    """Per-query role vector plus the final-layer head-averaged attention."""
-
-    queries: list[RoleQuery]
-    z: np.ndarray       # (n_queries, d)
-    alpha: np.ndarray   # (n_queries, T*M); zero outside the query's event
-
-
 @dataclass(frozen=True)
 class GroundingPrediction:
     slot: int
@@ -101,7 +92,8 @@ class RoleObjectDecoder:
 
     def forward(self, queries: dm.Tensor, o_ctx: dm.Tensor, mask: np.ndarray,
                 dropout_p: float = 0.0, rng=None):
-        """Returns (z, per-layer cross-attention weights, final weights)."""
+        """Returns z and the per-layer head-averaged cross-attention weights,
+        each (n_queries, T*M) and zero outside the query's event."""
         if mask.shape != (queries.shape[0], o_ctx.shape[0]):
             raise ValueError(f"event mask shape {mask.shape} does not match "
                              f"{queries.shape[0]} queries x {o_ctx.shape[0]} objects")
@@ -110,18 +102,12 @@ class RoleObjectDecoder:
         for layer in self.layers:
             x, w = layer(x, memory=o_ctx, cross_mask=mask, dropout_p=dropout_p, rng=rng)
             all_weights.append(w)
-        return x, all_weights, all_weights[-1]
+        return x, all_weights
 
     def named_parameters(self, prefix: str = "role_decoder"):
         yield from self.role_embed.named_parameters(f"{prefix}.role_embed")
         for i, layer in enumerate(self.layers):
             yield from layer.named_parameters(f"{prefix}.layers.{i}")
-
-
-def decode_roles(decoder: RoleObjectDecoder, queries: dm.Tensor, index: list[RoleQuery],
-                 o_ctx: dm.Tensor, mask: np.ndarray) -> DecoderOutput:
-    z, _, final_w = decoder.forward(queries, o_ctx, mask)
-    return DecoderOutput(queries=index, z=z.data.copy(), alpha=final_w.data.copy())
 
 
 def extract_grounding(alpha_row: np.ndarray, allowed: np.ndarray,
@@ -298,6 +284,9 @@ class SituationModel:
     @classmethod
     def load(cls, path) -> "SituationModel":
         arrays, meta = dm.load_tensors(path)
+        missing = [key for key in ("config", "lexicon", "vocab") if key not in meta]
+        if missing:
+            raise dm.CheckpointError(f"checkpoint meta lacks {', '.join(map(repr, missing))}")
         cfg = ModelConfig.from_dict(meta["config"])
         lexicon = VerbLexicon.from_dict(meta["lexicon"])
         vocab = Vocabulary.from_dict(meta["vocab"])
@@ -354,18 +343,18 @@ class SituationModel:
             queries, index = build_role_queries(
                 role_sets, e_ctx, self.role_decoder.role_embed.table, self.encoder.pe_event.table)
             mask = build_event_mask(index, sample.schedule, sample.n_slots)
-            output = decode_roles(self.role_decoder, queries, index, o_ctx, mask)
-
-            captions = self.captioner.greedy(dm.Tensor(output.z))
+            z, weights = self.role_decoder.forward(queries, o_ctx, mask)
+            alpha = weights[-1].data
+            captions = self.captioner.greedy(z)
 
         per_event: dict[int, list[RolePrediction]] = {i: [] for i in range(len(sample.events))}
         for qi, q in enumerate(index):
-            grounding = extract_grounding(output.alpha[qi], mask[qi], sample)
+            grounding = extract_grounding(alpha[qi], mask[qi], sample)
             per_event[q.event].append(RolePrediction(
                 role=q.role,
                 caption=self.vocab.decode_caption(captions[qi]),
                 grounding=grounding,
-                alpha=output.alpha[qi].copy() if keep_alpha else None,
+                alpha=alpha[qi].copy() if keep_alpha else None,
             ))
         return [
             PredictionRecord(

@@ -22,7 +22,7 @@ from .data_model import (
 )
 from .encoder import ArchConfig, ModelConfig, prepare_inputs
 from .metrics import evaluate
-from .srl import SituationModel, build_event_mask, build_role_queries
+from .srl import RoleQuery, SituationModel, build_event_mask, build_role_queries
 
 VERB_LOSS_MODES = ("plain", "reweighted", "focal", "balanced-sampling")
 
@@ -42,9 +42,6 @@ class TrainConfig(ArchConfig):
     seed: int = 0
     verb_loss_mode: str = "plain"
     focal_gamma: float = 2.0
-    loss_w_verb: float = 1.0
-    loss_w_role: float = 1.0
-    loss_w_caption: float = 1.0
     dropout: float = 0.1
     eval_every: int = 25
     vocab_min_count: int = 1
@@ -100,10 +97,11 @@ def config_defaults_help() -> str:
 # -- losses -----------------------------------------------------------------
 
 
-def _onehot(idx: np.ndarray, n: int, dtype=np.float32) -> np.ndarray:
-    out = np.zeros((len(idx), n), dtype=dtype)
-    out[np.arange(len(idx)), idx] = 1.0
-    return out
+def _target_logp(logits: dm.Tensor, targets: np.ndarray) -> dm.Tensor:
+    """log_softmax over the last axis, read at the target id of every row;
+    flat, of size ``targets.size``."""
+    flat = dm.reshape(dm.log_softmax(logits), (-1,))
+    return dm.gather_rows(flat, np.arange(targets.size) * logits.shape[-1] + targets.ravel())
 
 
 def verb_loss(logits: dm.Tensor, gt_verbs: list[int], mode: str = "plain",
@@ -119,8 +117,7 @@ def verb_loss(logits: dm.Tensor, gt_verbs: list[int], mode: str = "plain",
     gt = np.asarray(gt_verbs)
     if gt.min() < 0 or gt.max() >= n_verbs:
         raise ValueError(f"ground-truth verb outside lexicon of size {n_verbs}")
-    logp = dm.log_softmax(logits)
-    picked = dm.tensor_sum(dm.mul(logp, _onehot(gt, n_verbs, logits.data.dtype)), axis=1)
+    picked = _target_logp(logits, gt)
     ce = -picked
     if mode in ("plain", "balanced-sampling"):
         return dm.tensor_mean(ce)
@@ -145,48 +142,22 @@ def role_loss(role_logits: dm.Tensor, gt_role_sets: list[set[int]]) -> dm.Tensor
     return dm.tensor_mean(dm.bce_with_logits(role_logits, targets))
 
 
-def caption_target_weights(reference_tokens: np.ndarray, vocab: int) -> np.ndarray:
-    """One-hot target weights for the caption loss: 1/len at real positions,
-    0 at PAD, so a weighted sum of log-probabilities yields the sum over
-    roles of the mean per-token CE. Constant per video; precompute once."""
-    n_roles, length = reference_tokens.shape
+def caption_loss(decoder_logits: dm.Tensor, reference_tokens: np.ndarray) -> dm.Tensor:
+    """Teacher-forced caption loss: sum over roles of the mean per-token CE.
+
+    ``reference_tokens`` is the (n_roles, length) target matrix (reference
+    shifted left, closed by EOS, padded with PAD); PAD positions weigh 0.
+    """
+    n_roles, length, _ = decoder_logits.shape
+    if reference_tokens.shape != (n_roles, length):
+        raise ValueError(f"targets {reference_tokens.shape} do not match logits "
+                         f"{decoder_logits.shape}")
     real = reference_tokens != PAD
     per_role = real.sum(axis=1)
     if (per_role == 0).any():
         raise ValueError("caption target with no real tokens")
-    weights = np.zeros((n_roles, length, vocab), dtype=np.float32)
-    scaled = (real / per_role[:, None]).astype(np.float32)
-    np.put_along_axis(weights, reference_tokens[:, :, None], scaled[:, :, None], axis=2)
-    weights[:, :, PAD] = 0.0
-    return weights
-
-
-def caption_loss(decoder_logits: dm.Tensor, reference_tokens: np.ndarray,
-                 weights: np.ndarray | None = None) -> dm.Tensor:
-    """Teacher-forced caption loss: sum over roles of the mean per-token CE.
-
-    ``reference_tokens`` is the (n_roles, length) target matrix (reference
-    shifted left, closed by EOS, padded with PAD); PAD positions are excluded.
-    """
-    n_roles, length, vocab = decoder_logits.shape
-    if reference_tokens.shape != (n_roles, length):
-        raise ValueError(f"targets {reference_tokens.shape} do not match logits "
-                         f"{decoder_logits.shape}")
-    if weights is None:
-        weights = caption_target_weights(reference_tokens, vocab)
-    logp = dm.log_softmax(decoder_logits)
-    return -dm.tensor_sum(dm.mul(logp, weights))
-
-
-def total_loss(components: dict[str, dm.Tensor],
-               weights: dict[str, float] | None = None) -> dm.Tensor:
-    """Weighted sum of the named loss components (unit weights by default)."""
-    weights = weights or {}
-    total = None
-    for name in sorted(components):
-        term = dm.mul(components[name], float(weights.get(name, 1.0)))
-        total = term if total is None else dm.add(total, term)
-    return total
+    weights = (real / per_role[:, None]).astype(np.float32).ravel()
+    return -dm.tensor_sum(dm.mul(_target_logp(decoder_logits, reference_tokens), weights))
 
 
 def verb_class_frequencies(samples: list[VideoSample], n_verbs: int) -> np.ndarray:
@@ -254,12 +225,9 @@ class CompiledSample:
     event_mask: np.ndarray
     cap_inputs: np.ndarray
     cap_targets: np.ndarray
-    cap_weights: np.ndarray
 
 
 def compile_sample(sample: VideoSample, vocab: Vocabulary, cfg: ModelConfig) -> CompiledSample:
-    from .srl import RoleQuery  # local import to avoid cycle at module load
-
     role_sets = [sorted(ev.roles) for ev in sample.annotation.events]
     index = [RoleQuery(i, k) for i, roles in enumerate(role_sets) for k in roles]
     mask = build_event_mask(index, sample.schedule, sample.n_slots)
@@ -273,13 +241,13 @@ def compile_sample(sample: VideoSample, vocab: Vocabulary, cfg: ModelConfig) -> 
         event_mask=mask,
         cap_inputs=cap_in,
         cap_targets=cap_tgt,
-        cap_weights=caption_target_weights(cap_tgt, len(vocab)),
     )
 
 
 def video_loss(model: SituationModel, compiled: CompiledSample, train_cfg: TrainConfig,
                class_weights: np.ndarray | None = None, rng=None):
-    """Forward pass over all three stages; returns (total, components dict)."""
+    """Forward pass over all three stages; returns (total, components dict).
+    The total is the unweighted sum (caption + role) + verb."""
     dropout_p = train_cfg.dropout if rng is not None else 0.0
     o_ctx, e_ctx = model.encoder.forward(compiled.inputs, dropout_p=dropout_p, rng=rng)
     verb_logits = model.encoder.predict_verbs(e_ctx)
@@ -288,8 +256,8 @@ def video_loss(model: SituationModel, compiled: CompiledSample, train_cfg: Train
     queries, index = build_role_queries(
         compiled.role_sets_sorted, e_ctx,
         model.role_decoder.role_embed.table, model.encoder.pe_event.table)
-    z, _, _ = model.role_decoder.forward(queries, o_ctx, compiled.event_mask,
-                                         dropout_p=dropout_p, rng=rng)
+    z, _ = model.role_decoder.forward(queries, o_ctx, compiled.event_mask,
+                                      dropout_p=dropout_p, rng=rng)
     cap_logits = model.captioner.logits(compiled.cap_inputs, z,
                                         dropout_p=dropout_p, rng=rng)
 
@@ -297,11 +265,10 @@ def video_loss(model: SituationModel, compiled: CompiledSample, train_cfg: Train
         "verb": verb_loss(verb_logits, compiled.gt_verbs, mode=train_cfg.verb_loss_mode,
                           gamma=train_cfg.focal_gamma, class_weights=class_weights),
         "role": role_loss(role_logits, compiled.gt_role_sets),
-        "caption": caption_loss(cap_logits, compiled.cap_targets, compiled.cap_weights),
+        "caption": caption_loss(cap_logits, compiled.cap_targets),
     }
-    weights = {"verb": train_cfg.loss_w_verb, "role": train_cfg.loss_w_role,
-               "caption": train_cfg.loss_w_caption}
-    return total_loss(components, weights), components
+    total = dm.add(dm.add(components["caption"], components["role"]), components["verb"])
+    return total, components
 
 
 # -- optimizer ----------------------------------------------------------------

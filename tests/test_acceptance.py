@@ -112,7 +112,7 @@ def test_criterion_1_mask_exactness():
         mask = build_event_mask(queries, schedule, n_slots)
         q = dm.Tensor(g.normal(size=(len(queries), d)).astype(np.float32))
         objs = dm.Tensor(g.normal(size=(schedule.n_frames * n_slots, d)).astype(np.float32))
-        _, all_w, _ = dec.forward(q, objs, mask)
+        _, all_w = dec.forward(q, objs, mask)
         for w in all_w:
             assert np.all(w.data[~mask] == 0.0), f"trial {trial}: nonzero masked weight"
             np.testing.assert_allclose(w.data.sum(axis=1), 1.0, atol=1e-6)

@@ -212,3 +212,32 @@ def test_predict_rejects_checkpoint_that_does_not_fit_data(workspace, tmp_path, 
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and named in err
+
+
+@pytest.mark.parametrize("header", [b'{"foo": 1}', b"[1, 2]"])
+def test_predict_reports_checkpoint_header_that_is_not_a_manifest(workspace, tmp_path, capsys,
+                                                                  header):
+    _, data, _ = workspace
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(header + b"\n")
+    code = main(["predict", "--data", str(data), "--split", "val", "--checkpoint", str(bad),
+                 "--out", str(tmp_path / "p.jsonl")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "not a manifest" in err
+
+
+def test_validate_reports_record_without_duration(workspace, tmp_path, capsys):
+    _, data, _ = workspace
+    import shutil
+    broken = tmp_path / "broken"
+    shutil.copytree(data, broken)
+    manifest = broken / "manifest_train.jsonl"
+    lines = manifest.read_text().splitlines()
+    doc = json.loads(lines[1])
+    del doc["duration"]
+    lines[1] = json.dumps(doc)
+    manifest.write_text("\n".join(lines) + "\n")
+    assert main(["validate", "--data", str(broken)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and doc["id"] in err and "'duration'" in err

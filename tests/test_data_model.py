@@ -244,6 +244,22 @@ def test_truncated_feature_file_names_video(small_dataset, tmp_path):
         load_dataset(broken / "manifest_train.jsonl")
 
 
+@pytest.mark.parametrize("key", ["duration", "events", "object_features", "annotation"])
+def test_record_without_required_key_names_video_and_key(small_dataset, tmp_path, key):
+    out, result = small_dataset
+    import shutil
+    broken = tmp_path / "broken"
+    shutil.copytree(out, broken)
+    manifest = broken / "manifest_train.jsonl"
+    lines = manifest.read_text().splitlines()
+    doc = json.loads(lines[0])
+    del doc[key]
+    lines[0] = json.dumps(doc)
+    manifest.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DatasetError, match=f"{result.train[0].id}: .*'{key}'"):
+        load_dataset(manifest)
+
+
 def test_role_outside_verb_map_is_itemized(small_dataset):
     out, result = small_dataset
     samples, lexicon = load_dataset_dir(out, split="train")

@@ -494,6 +494,16 @@ def test_checkpoint_header_not_json(tmp_path):
         dm.load_tensors(path)
 
 
+@pytest.mark.parametrize("header", [b'{"foo": 1}', b"[1, 2]", b'{"params": 3}',
+                                    b'{"params": [], "meta": [1]}', b'{"params": [{"name": "w"}]}',
+                                    b'{"params": [7]}'])
+def test_checkpoint_json_header_that_is_not_a_manifest(tmp_path, header):
+    path = tmp_path / "params.bin"
+    path.write_bytes(header + b"\n")
+    with pytest.raises(dm.CheckpointError, match="manifest"):
+        dm.load_tensors(path)
+
+
 def test_checkpoint_failed_write_keeps_old_file(tmp_path):
     path = tmp_path / "params.bin"
     dm.save_tensors(path, {"w": np.ones((2, 2), dtype=np.float32)}, meta={"epoch": 1})

@@ -12,7 +12,7 @@ from vidsrl.data_model import (
 from vidsrl.encoder import ModelConfig
 from vidsrl.srl import (
     FALLBACK_ROLE, CaptionDecoder, RoleObjectDecoder, RoleQuery, SituationModel,
-    build_event_mask, build_role_queries, decode_roles, extract_grounding,
+    build_event_mask, build_role_queries, extract_grounding,
     read_predictions, records_from_json, records_to_json,
     write_predictions,
 )
@@ -127,12 +127,11 @@ def test_decoder_masked_columns_zero_in_every_layer():
     objects = dm.Tensor(rng(10).normal(size=(20, 16)).astype(np.float32))
     mask = rng(11).random((4, 20)) > 0.5
     mask[:, 0] = True
-    _, all_w, final = dec.forward(queries, objects, mask)
+    _, all_w = dec.forward(queries, objects, mask)
     assert len(all_w) == 3
     for w in all_w:
         assert np.all(w.data[~mask] == 0.0)
         np.testing.assert_allclose(w.data.sum(axis=1), 1.0, atol=1e-6)
-    np.testing.assert_array_equal(final.data, all_w[-1].data)
 
 
 def test_decoder_single_allowed_proposal_gets_all_attention():
@@ -144,8 +143,8 @@ def test_decoder_single_allowed_proposal_gets_all_attention():
     mask = build_event_mask([RoleQuery(0, 0)], sched, n_slots=1)
     queries = dm.Tensor(rng(13).normal(size=(1, 16)).astype(np.float32))
     objects = dm.Tensor(rng(14).normal(size=(1, 16)).astype(np.float32))
-    _, _, final = dec.forward(queries, objects, mask)
-    np.testing.assert_array_equal(final.data, [[1.0]])
+    _, all_w = dec.forward(queries, objects, mask)
+    np.testing.assert_array_equal(all_w[-1].data, [[1.0]])
 
 
 def test_out_of_event_perturbation_bit_identical_single_query():
@@ -155,10 +154,10 @@ def test_out_of_event_perturbation_bit_identical_single_query():
     objects = rng(17).normal(size=(10, 16)).astype(np.float32)
     mask = np.zeros((1, 10), dtype=bool)
     mask[0, :4] = True
-    z1, _, _ = dec.forward(queries, dm.Tensor(objects), mask)
+    z1, _ = dec.forward(queries, dm.Tensor(objects), mask)
     perturbed = objects.copy()
     perturbed[7] += 3.0  # masked for the only query
-    z2, _, _ = dec.forward(queries, dm.Tensor(perturbed), mask)
+    z2, _ = dec.forward(queries, dm.Tensor(perturbed), mask)
     np.testing.assert_array_equal(z1.data, z2.data)
 
 
@@ -379,10 +378,11 @@ def test_alpha_is_simplex_on_event_support(model, synth_result):
                                   model.role_decoder.role_embed.table,
                                   model.encoder.pe_event.table)
     mask = build_event_mask(index, sample.schedule, sample.n_slots)
-    out = decode_roles(model.role_decoder, q, index, o_ctx, mask)
+    _, weights = model.role_decoder.forward(q, o_ctx, mask)
+    alpha = weights[-1].data
     for qi in range(len(index)):
-        assert np.all(out.alpha[qi][~mask[qi]] == 0.0)
-        assert out.alpha[qi].sum() == pytest.approx(1.0, abs=1e-6)
+        assert np.all(alpha[qi][~mask[qi]] == 0.0)
+        assert alpha[qi].sum() == pytest.approx(1.0, abs=1e-6)
 
 
 def test_within_frame_permutation_permutes_alpha_keeps_captions(model, synth_result):
@@ -445,3 +445,14 @@ def test_model_checkpoint_round_trip(model, synth_result, tmp_path):
     loaded = SituationModel.load(path)
     s = synth_result.val[0]
     assert records_to_json(model.predict_situation(s)) == records_to_json(loaded.predict_situation(s))
+
+
+@pytest.mark.parametrize("key", ["config", "lexicon", "vocab"])
+def test_load_rejects_checkpoint_meta_without_key(model, tmp_path, key):
+    path = tmp_path / "model.bin"
+    model.save(path)
+    arrays, meta = dm.load_tensors(path)
+    del meta[key]
+    dm.save_tensors(path, arrays, meta)
+    with pytest.raises(dm.CheckpointError, match=f"lacks '{key}'"):
+        SituationModel.load(path)

@@ -98,9 +98,23 @@ class VerbLexicon:
 
     @classmethod
     def from_dict(cls, d: dict) -> "VerbLexicon":
+        """Inverse of :meth:`to_dict`; raises DatasetError naming a missing
+        key, an unknown verb or an unknown role."""
+        if not isinstance(d, dict):
+            raise DatasetError(f"lexicon is not a JSON object: {d!r}")
+        missing = [key for key in ("verbs", "role_map") if key not in d]
+        if missing:
+            raise DatasetError(f"lexicon lacks {', '.join(map(repr, missing))}")
+        if not isinstance(d["verbs"], list) or not isinstance(d["role_map"], dict):
+            raise DatasetError("lexicon 'verbs' must be a list and 'role_map' an object")
         verbs = list(d["verbs"])
         role_map = {}
         for name, roles in d["role_map"].items():
+            if name not in verbs:
+                raise DatasetError(f"lexicon 'role_map' names unknown verb {name!r}")
+            unknown = [r for r in roles if r not in ROLE_IDS]
+            if unknown:
+                raise DatasetError(f"lexicon 'role_map' gives verb {name!r} unknown roles {unknown}")
             role_map[verbs.index(name)] = frozenset(ROLE_IDS[r] for r in roles)
         return cls(verbs=verbs, role_map=role_map)
 

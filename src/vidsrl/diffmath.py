@@ -66,10 +66,15 @@ class Tensor:
         return float(self.data)
 
     def backward(self, grad=None):
+        """Accumulate d(self)/d(leaf) into every leaf's ``grad``.
+
+        Each node drops its backward closure and parents once it has run, so
+        the graph is freed by reference counting alone (the closure refers to
+        its own output, a cycle the collector would otherwise have to find).
+        A later backward() through a released node raises GraphReleasedError.
+        """
         if not self.requires_grad:
             raise ValueError("backward() on a tensor that does not require grad")
-        if grad is None:
-            grad = np.ones_like(self.data)
         topo = []
         visited = set()
         stack = [(self, False)]
@@ -80,15 +85,19 @@ class Tensor:
                 continue
             if id(node) in visited:
                 continue
+            if node._backward is _released:
+                _released()
             visited.add(id(node))
             stack.append((node, True))
             for p in node._parents:
                 if id(p) not in visited:
                     stack.append((p, False))
-        _accumulate(self, grad)
+        _accumulate(self, np.ones_like(self.data) if grad is None else grad)
         for node in reversed(topo):
             if node._backward is not None:
                 node._backward()
+                node._backward = _released
+                node._parents = ()
 
     # -- operator sugar ------------------------------------------------
 
@@ -121,6 +130,15 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
+
+
+class GraphReleasedError(RuntimeError):
+    """backward() through a graph that an earlier backward() already released."""
+
+
+def _released():
+    raise GraphReleasedError("backward() through a graph an earlier backward() released; "
+                             "run the forward pass again to build a new one")
 
 
 def _as_tensor(x) -> Tensor:
@@ -340,20 +358,6 @@ def reshape(x: Tensor, shape) -> Tensor:
     return _node(data, (x,), make)
 
 
-def transpose(x: Tensor, axes) -> Tensor:
-    x = _as_tensor(x)
-    data = x.data.transpose(axes)
-    inverse = tuple(np.argsort(axes))
-
-    def make(out):
-        def bw():
-            _accumulate(x, out.grad.transpose(inverse))
-
-        return bw
-
-    return _node(data, (x,), make)
-
-
 def concat(tensors, axis: int = 0) -> Tensor:
     tensors = [_as_tensor(t) for t in tensors]
     data = np.concatenate([t.data for t in tensors], axis=axis)
@@ -451,41 +455,26 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator, shape=None) -> Tensor
 # -- softmax family ------------------------------------------------------
 
 
-def masked_softmax(scores: Tensor, mask=None) -> Tensor:
+def _masked_softmax(scores: np.ndarray, mask=None) -> np.ndarray:
     """Softmax over the last axis; positions where ``mask`` is False get
-    probability exactly 0 (bit-exact) and zero gradient.
+    probability exactly 0 (bit-exact), and so zero gradient.
 
-    ``mask`` is a boolean array matching the last two axes of ``scores``
-    (broadcast over any leading head axis). A row with no allowed key is an
-    error naming the row.
+    ``mask`` is a boolean array matching the last axes of ``scores``
+    (broadcast over the leading ones). A row with no allowed key is an error
+    naming the row.
     """
-    scores = _as_tensor(scores)
     if mask is not None:
         mask = np.asarray(mask, dtype=bool)
-        if mask.shape != scores.data.shape[-mask.ndim:]:
-            raise ValueError(
-                f"mask shape {mask.shape} does not match scores {scores.data.shape}"
-            )
+        if mask.shape != scores.shape[-mask.ndim:]:
+            raise ValueError(f"mask shape {mask.shape} does not match scores {scores.shape}")
         dead = ~mask.any(axis=-1)
         if dead.any():
             rows = np.argwhere(dead).reshape(-1, dead.ndim).tolist()
             raise ValueError(f"fully masked softmax row(s): {rows}")
-        x = np.where(mask, scores.data, -np.inf)
-    else:
-        x = scores.data
-    m = x.max(axis=-1, keepdims=True)
-    e = np.exp(x - m)  # exp(-inf) underflows to exactly 0
-    data = e / e.sum(axis=-1, keepdims=True)
-
-    def make(out):
-        def bw():
-            g = out.grad
-            inner = (g * out.data).sum(axis=-1, keepdims=True)
-            _accumulate(scores, out.data * (g - inner), own=True)
-
-        return bw
-
-    return _node(data, (scores,), make)
+        scores = np.where(mask, scores, -np.inf)
+    m = scores.max(axis=-1, keepdims=True)
+    e = np.exp(scores - m)  # exp(-inf) underflows to exactly 0
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def log_softmax(x: Tensor) -> Tensor:
@@ -527,13 +516,14 @@ def bce_with_logits(logits: Tensor, targets) -> Tensor:
 
 def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, mask=None,
                          need_weights: bool = True):
-    """Scaled dot-product attention over ``n_heads`` heads with a shared mask.
+    """Scaled dot-product attention over ``n_heads`` heads with a shared mask,
+    as one graph node with a hand-written backward.
 
     q is (..., nq, d); k and v are (..., nk, d) with the same leading axes,
     which batch independent sequences; ``mask`` (nq, nk) is shared by all of
     them. Returns the merged (..., nq, d) output and the head-averaged
-    attention weights (..., nq, nk) for inspection (None when need_weights is
-    False, which skips the reduction).
+    attention weights (..., nq, nk), a tensor outside the graph, for
+    inspection (None when need_weights is False, which skips the reduction).
     """
     q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
     *lead, nq, d = q.data.shape
@@ -545,16 +535,39 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, mask=Non
     dh = d // n_heads
     b = len(lead)
     split = tuple(range(b)) + (b + 1, b, b + 2)  # (..., n, h, dh) <-> (..., h, n, dh)
+    scale = 1.0 / math.sqrt(dh)
     # scale the queries rather than the (much larger) score matrix
-    qh = transpose(reshape(mul(q, 1.0 / math.sqrt(dh)), (*lead, nq, n_heads, dh)), split)
-    kh = transpose(reshape(k, (*lead, nk, n_heads, dh)), split)
-    vh = transpose(reshape(v, (*lead, nk, n_heads, dh)), split)
-    scores = matmul(qh, transpose(kh, tuple(range(b + 1)) + (b + 2, b + 1)))
-    weights = masked_softmax(scores, mask)  # (..., h, nq, nk)
-    out = matmul(weights, vh)
-    out = reshape(transpose(out, split), (*lead, nq, d))
-    avg = tensor_mean(weights, axis=b) if need_weights else None
-    return out, avg
+    qh = (q.data * scale).reshape(*lead, nq, n_heads, dh).transpose(split)
+    kh = k.data.reshape(*lead, nk, n_heads, dh).transpose(split)
+    vh = v.data.reshape(*lead, nk, n_heads, dh).transpose(split)
+    weights = _masked_softmax(np.matmul(qh, kh.swapaxes(-1, -2)), mask)  # (..., h, nq, nk)
+    data = np.matmul(weights, vh).transpose(split).reshape(*lead, nq, d)
+    avg = Tensor(weights.sum(axis=b) * (1.0 / n_heads)) if need_weights else None
+
+    def make(out):
+        def bw():
+            # Every product keeps the operand order and memory layout of the
+            # per-op chain (scale, split, scores, softmax, weights @ V, merge)
+            # the tests hold as an oracle, so the gradients are bit-equal to
+            # the chain's. So dk is (qh^T @ gs)^T, not gs^T @ qh: the key
+            # projection's backward multiplies by it in that layout.
+            g = out.grad.reshape(*lead, nq, n_heads, dh).transpose(split)
+            if q.requires_grad or k.requires_grad:
+                gw = np.matmul(g, vh.swapaxes(-1, -2))
+                gs = weights * (gw - (gw * weights).sum(axis=-1, keepdims=True))
+                if q.requires_grad:
+                    gq = np.matmul(gs, kh).transpose(split).reshape(q.data.shape) * scale
+                    _accumulate(q, gq, own=True)
+                if k.requires_grad:
+                    gk = np.matmul(qh.swapaxes(-1, -2), gs).swapaxes(-1, -2)
+                    _accumulate(k, gk.transpose(split).reshape(k.data.shape), own=True)
+            if v.requires_grad:
+                gv = np.matmul(weights.swapaxes(-1, -2), g).transpose(split)
+                _accumulate(v, gv.reshape(v.data.shape), own=True)
+
+        return bw
+
+    return _node(data, (q, k, v), make), avg
 
 
 # -- parameter blocks ----------------------------------------------------
@@ -570,11 +583,28 @@ class Linear:
         self.b = Tensor(rng.uniform(-bound, bound, d_out).astype(np.float32), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
-        """Maps the last axis as one 2-D product over the flattened rows."""
-        if x.data.ndim <= 2:
-            return add(matmul(x, self.w), self.b)
-        y = add(matmul(reshape(x, (-1, x.shape[-1])), self.w), self.b)
-        return reshape(y, (*x.shape[:-1], y.shape[-1]))
+        """Maps the last axis as one 2-D product over the flattened rows, as
+        one graph node."""
+        x, w, b = _as_tensor(x), self.w, self.b
+        rows = x.data if x.data.ndim == 2 else x.data.reshape(-1, x.data.shape[-1])
+        data = np.matmul(rows, w.data) + b.data
+        if x.data.ndim != 2:
+            data = data.reshape(*x.data.shape[:-1], data.shape[-1])
+
+        def make(out):
+            def bw():
+                g = out.grad if out.grad.ndim == 2 else out.grad.reshape(-1, out.grad.shape[-1])
+                if b.requires_grad:
+                    _accumulate(b, g.sum(axis=0), own=True)
+                if x.requires_grad:
+                    gx = np.matmul(g, w.data.swapaxes(-1, -2)).reshape(x.data.shape)
+                    _accumulate(x, gx, own=True)
+                if w.requires_grad:
+                    _accumulate(w, np.matmul(rows.swapaxes(-1, -2), g), own=True)
+
+            return bw
+
+        return _node(data, (x, w, b), make)
 
     def named_parameters(self, prefix: str):
         yield f"{prefix}.w", self.w

@@ -328,8 +328,19 @@ class TrainState:
 
     @classmethod
     def load(cls, path) -> "TrainState":
+        """Inverse of :meth:`save`. A model-only checkpoint, or any file
+        without the optimizer state, raises CheckpointError naming what it lacks."""
         arrays, meta = dm.load_tensors(path)
         model = SituationModel.load(path)
+        names = [name for name, _ in model.named_parameters()]
+        missing = [key for key in ("lr", "optim_t", "epoch", "step") if key not in meta]
+        for kind in ("m", "v"):
+            absent = [f"optim.{kind}.{name}" for name in names
+                      if f"optim.{kind}.{name}" not in arrays]
+            missing += [f"optim.{kind}.*"] if len(absent) == len(names) else absent
+        if missing:
+            raise dm.CheckpointError(f"{path} is not a training state: it lacks "
+                                     f"{', '.join(missing)}")
         opt = Adam(list(model.named_parameters()), lr=meta["lr"])
         opt.t = meta["optim_t"]
         for name, _ in model.named_parameters():

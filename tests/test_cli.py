@@ -241,3 +241,16 @@ def test_validate_reports_record_without_duration(workspace, tmp_path, capsys):
     assert main(["validate", "--data", str(broken)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and doc["id"] in err and "'duration'" in err
+
+
+def test_validate_reports_lexicon_without_role_map(workspace, tmp_path, capsys):
+    _, data, _ = workspace
+    import shutil
+    broken = tmp_path / "broken"
+    shutil.copytree(data, broken)
+    lexicon = json.loads((broken / "lexicon.json").read_text())
+    del lexicon["role_map"]
+    (broken / "lexicon.json").write_text(json.dumps(lexicon))
+    assert main(["validate", "--data", str(broken)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "'role_map'" in err

@@ -66,6 +66,19 @@ def test_lexicon_round_trip():
     assert again.verbs == lex.verbs and again.role_map == lex.role_map
 
 
+@pytest.mark.parametrize("edit,key", [
+    (lambda d: d.pop("verbs"), "'verbs'"),
+    (lambda d: d.pop("role_map"), "'role_map'"),
+    (lambda d: d["role_map"].update(fly=["Arg0"]), "'fly'"),
+    (lambda d: d["role_map"][d["verbs"][0]].append("Arg9"), "'Arg9'"),
+], ids=["no-verbs", "no-role_map", "unknown-verb", "unknown-role"])
+def test_lexicon_from_dict_names_bad_key(edit, key):
+    d = generate(SynthConfig(n_videos=0, n_verbs=3, seed=2)).lexicon.to_dict()
+    edit(d)
+    with pytest.raises(DatasetError, match=f"lexicon .*{key}"):
+        VerbLexicon.from_dict(d)
+
+
 # -- frame schedule ---------------------------------------------------------------
 
 

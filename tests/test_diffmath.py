@@ -1,5 +1,6 @@
 """Substrate tests: op gradients against central differences, masked softmax
-contracts, attention primitives, transformer layers, checkpoint round-trips."""
+contracts, the fused attention and linear nodes against the per-op chains
+they replace, graph release, transformer layers, checkpoint round-trips."""
 
 import math
 
@@ -19,37 +20,58 @@ def f64(a):
     return np.asarray(a, dtype=np.float64)
 
 
-# -- masked softmax -----------------------------------------------------------
+# -- masked softmax ---------------------------------------------------------------
+#
+# The softmax lives inside the attention node. With one head, keys and values
+# the first rows of an identity and d = 16 (so the 1/sqrt(d) query scale is a
+# power of two and exact), the attention weights and the first nk output
+# columns are softmax(scores, mask) for queries holding the scores, and the
+# query gradient is the scores gradient times 1/4.
+
+SOFTMAX_D = 16
+
+
+def softmax_via_attention(scores, mask=None):
+    """(weights, output, query tensor) of attention whose scores are ``scores``."""
+    scores = scores.data if isinstance(scores, dm.Tensor) else np.asarray(scores)
+    rows = scores.reshape(-1, scores.shape[-1])
+    nq, nk = rows.shape
+    q = np.zeros((nq, SOFTMAX_D), dtype=scores.dtype)
+    q[:, :nk] = rows * math.sqrt(SOFTMAX_D)
+    q = dm.Tensor(q, requires_grad=True)
+    kv = dm.Tensor(np.eye(nk, SOFTMAX_D, dtype=scores.dtype))
+    out, w = dm.multi_head_attention(q, kv, kv, 1, mask)
+    return w.data.reshape(scores.shape), out, q
 
 
 def test_softmax_uniform_on_equal_scores():
-    out = dm.masked_softmax(dm.Tensor([1.0, 1.0, 1.0]))
-    np.testing.assert_allclose(out.data, [1 / 3, 1 / 3, 1 / 3], atol=1e-7)
+    w, _, _ = softmax_via_attention(np.array([1.0, 1.0, 1.0]))
+    np.testing.assert_allclose(w, [1 / 3, 1 / 3, 1 / 3], atol=1e-7)
 
 
 def test_softmax_single_survivor_is_exactly_one():
-    out = dm.masked_softmax(dm.Tensor([[5.0, -2.0]]), np.array([[True, False]]))
-    assert out.data[0, 0] == 1.0
-    assert out.data[0, 1] == 0.0  # bit-exact zero, not merely small
+    w, _, _ = softmax_via_attention(np.array([[5.0, -2.0]]), np.array([[True, False]]))
+    assert w[0, 0] == 1.0
+    assert w[0, 1] == 0.0  # bit-exact zero, not merely small
 
 
 def test_softmax_matches_direct_exponent_oracle():
     x = np.array([1.0, 2.0, 3.0])
     expected = np.exp(x) / np.exp(x).sum()  # independent direct computation
     np.testing.assert_allclose(expected, [0.09003057, 0.24472847, 0.66524096], atol=1e-7)
-    out = dm.masked_softmax(dm.Tensor(x))
-    np.testing.assert_allclose(out.data, expected, atol=1e-5)
+    w, _, _ = softmax_via_attention(x)
+    np.testing.assert_allclose(w, expected, atol=1e-5)
 
 
 def test_softmax_fully_masked_row_error_names_row():
     with pytest.raises(ValueError, match=r"\[1"):
-        dm.masked_softmax(dm.Tensor(np.zeros((3, 2))),
-                          np.array([[True, True], [False, False], [True, False]]))
+        softmax_via_attention(np.zeros((3, 2)),
+                              np.array([[True, True], [False, False], [True, False]]))
 
 
 def test_softmax_mask_shape_mismatch():
     with pytest.raises(ValueError, match="mask shape"):
-        dm.masked_softmax(dm.Tensor(np.zeros((2, 3))), np.ones((2, 4), dtype=bool))
+        softmax_via_attention(np.zeros((2, 3)), np.ones((2, 4), dtype=bool))
 
 
 @settings(max_examples=50, deadline=None)
@@ -59,19 +81,19 @@ def test_softmax_rows_are_simplex_with_exact_zeros(q, k, seed):
     scores = g.normal(size=(q, k)) * 5
     mask = g.random((q, k)) > 0.4
     mask[np.arange(q), g.integers(0, k, q)] = True  # keep every row alive
-    out = dm.masked_softmax(dm.Tensor(scores), mask).data
+    out, _, _ = softmax_via_attention(scores, mask)
     assert np.all(out[~mask] == 0.0)
     np.testing.assert_allclose(out.sum(axis=-1), 1.0, atol=1e-6)
     assert np.all(out >= 0)
 
 
 def test_softmax_zero_gradient_through_masked_entries():
-    scores = dm.Tensor(f64(rng(1).normal(size=(2, 4))), requires_grad=True)
     mask = np.array([[True, False, True, True], [True, True, False, True]])
-    out = dm.masked_softmax(scores, mask)
-    loss = dm.tensor_sum(dm.mul(out, f64(rng(2).normal(size=(2, 4)))))
+    _, out, q = softmax_via_attention(f64(rng(1).normal(size=(2, 4))), mask)
+    loss = dm.tensor_sum(dm.mul(out, f64(rng(2).normal(size=(2, SOFTMAX_D)))))
     loss.backward()
-    assert scores.grad[0, 1] == 0.0 and scores.grad[1, 2] == 0.0
+    assert q.grad[0, 1] == 0.0 and q.grad[1, 2] == 0.0
+    assert np.all(q.grad[:, :4][mask] != 0.0)
 
 
 # -- per-op gradients against central differences ------------------------------
@@ -125,10 +147,8 @@ def test_grad_batched_matmul():
     (lambda t: dm.tensor_sum(t, axis=1), False),
     (lambda t: dm.tensor_mean(t, axis=0), False),
     (lambda t: dm.reshape(t, (4, 3)), False),
-    (lambda t: dm.transpose(t, (1, 0)), False),
     (lambda t: dm.narrow(t, 0, 1, 2), False),
     (dm.log_softmax, False),
-    (dm.masked_softmax, False),
 ])
 def test_grad_unary_ops(op, positive):
     check_unary(lambda x: weighted_sum(op(x)), positive=positive)
@@ -168,13 +188,14 @@ def test_grad_bce_with_logits():
 
 def test_grad_masked_softmax_attention_path():
     g = rng(10)
-    scores = dm.Tensor(f64(g.normal(size=(2, 3, 5))), requires_grad=True)
+    q = dm.Tensor(f64(g.normal(size=(2, 3, 4))), requires_grad=True)
+    k = dm.Tensor(f64(g.normal(size=(2, 5, 4))), requires_grad=True)
+    v = dm.Tensor(f64(g.normal(size=(2, 5, 4))), requires_grad=True)
     mask = g.random((3, 5)) > 0.3
     mask[:, 0] = True
-    v = g.normal(size=(2, 5, 4))
     err = dm.gradient_check(
-        lambda: weighted_sum(dm.matmul(dm.masked_softmax(scores, mask), dm.Tensor(f64(v)))),
-        [scores], eps=1e-5, samples=30)
+        lambda: weighted_sum(dm.multi_head_attention(q, k, v, 1, mask)[0]),
+        [q, k, v], eps=1e-5, samples=30)
     assert err < 1e-6
 
 
@@ -189,10 +210,13 @@ def test_gradient_check_square_function():
 
 
 def test_gradient_check_softmax_dot_constant():
-    c = f64([0.3, -1.2, 2.0, 0.5])
-    x = dm.Tensor(f64([0.1, 0.9, -0.4, 0.2]), requires_grad=True)
-    err = dm.gradient_check(lambda: dm.tensor_sum(dm.mul(dm.masked_softmax(x), c)),
-                            [x], eps=1e-3, samples=4, float64=True)
+    c = np.zeros(SOFTMAX_D)
+    c[:4] = [0.3, -1.2, 2.0, 0.5]
+    _, _, x = softmax_via_attention(np.array([[0.1, 0.9, -0.4, 0.2]], dtype=np.float32))
+    kv = dm.Tensor(np.eye(4, SOFTMAX_D, dtype=np.float32))
+    err = dm.gradient_check(
+        lambda: dm.tensor_sum(dm.mul(dm.multi_head_attention(x, kv, kv, 1)[0], c)),
+        [x], eps=1e-3, samples=4, float64=True)
     assert err < 1e-5
 
 
@@ -305,6 +329,203 @@ def test_feature_behind_masked_edge_has_exactly_zero_gradient():
     assert np.any(kv.grad[:2] != 0.0)
 
 
+# -- fused nodes against the per-op chains they replace ------------------------------
+#
+# ``unfused_attention`` and ``unfused_linear`` are the per-op graphs that
+# ``multi_head_attention`` and ``Linear`` built before each became one node,
+# kept here as oracles together with the two ops only they used.
+
+
+def oracle_transpose(x, axes):
+    data = x.data.transpose(axes)
+    inverse = tuple(np.argsort(axes))
+
+    def make(out):
+        def bw():
+            dm._accumulate(x, out.grad.transpose(inverse))
+
+        return bw
+
+    return dm._node(data, (x,), make)
+
+
+def oracle_masked_softmax(scores, mask=None):
+    x = scores.data if mask is None else np.where(mask, scores.data, -np.inf)
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    data = e / e.sum(axis=-1, keepdims=True)
+
+    def make(out):
+        def bw():
+            g = out.grad
+            inner = (g * out.data).sum(axis=-1, keepdims=True)
+            dm._accumulate(scores, out.data * (g - inner), own=True)
+
+        return bw
+
+    return dm._node(data, (scores,), make)
+
+
+def unfused_attention(q, k, v, n_heads, mask=None):
+    *lead, nq, d = q.data.shape
+    nk = k.data.shape[-2]
+    dh = d // n_heads
+    b = len(lead)
+    split = tuple(range(b)) + (b + 1, b, b + 2)
+    qh = oracle_transpose(dm.reshape(dm.mul(q, 1.0 / math.sqrt(dh)), (*lead, nq, n_heads, dh)), split)
+    kh = oracle_transpose(dm.reshape(k, (*lead, nk, n_heads, dh)), split)
+    vh = oracle_transpose(dm.reshape(v, (*lead, nk, n_heads, dh)), split)
+    scores = dm.matmul(qh, oracle_transpose(kh, tuple(range(b + 1)) + (b + 2, b + 1)))
+    weights = oracle_masked_softmax(scores, mask)
+    out = dm.matmul(weights, vh)
+    out = dm.reshape(oracle_transpose(out, split), (*lead, nq, d))
+    return out, dm.tensor_mean(weights, axis=b)
+
+
+def unfused_linear(lin, x):
+    if x.data.ndim <= 2:
+        return dm.add(dm.matmul(x, lin.w), lin.b)
+    y = dm.add(dm.matmul(dm.reshape(x, (-1, x.shape[-1])), lin.w), lin.b)
+    return dm.reshape(y, (*x.shape[:-1], y.shape[-1]))
+
+
+def run_attention(fn, inputs, shared, mask, upstream):
+    """Output, weights and input gradients of ``fn`` on fresh leaves."""
+    leaves = [dm.Tensor(a.copy(), requires_grad=True) for a in inputs]
+    q, k, v = (leaves[0],) * 3 if shared else leaves
+    out, w = fn(q, k, v, 4, mask)
+    dm.tensor_sum(dm.mul(out, upstream)).backward()
+    return [out.data, w.data] + [t.grad for t in leaves]
+
+
+@pytest.mark.parametrize("shared", [False, True], ids=["qkv", "one-tensor"])
+@pytest.mark.parametrize("masked", [False, True], ids=["nomask", "mask"])
+@pytest.mark.parametrize("lead", [(), (3,)], ids=["2d", "batched"])
+def test_fused_attention_equals_unfused_chain(lead, masked, shared):
+    g = rng(50)
+    nq, nk, d = (6, 6, 16) if shared else (5, 7, 16)
+    shapes = [(*lead, nq, d)] if shared else [(*lead, nq, d), (*lead, nk, d), (*lead, nk, d)]
+    inputs = [g.normal(size=s).astype(np.float32) for s in shapes]
+    mask = None
+    if masked:
+        mask = g.random((nq, nk)) > 0.4
+        mask[:, 0] = True
+    upstream = g.normal(size=(*lead, nq, d)).astype(np.float32)
+    fused = run_attention(dm.multi_head_attention, inputs, shared, mask, upstream)
+    oracle = run_attention(unfused_attention, inputs, shared, mask, upstream)
+    for a, b in zip(fused, oracle):
+        assert a.dtype == b.dtype
+        np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("shape", [(7, 12), (3, 5, 12), (2, 3, 4, 12)])
+def test_fused_linear_equals_unfused_chain(shape):
+    g = rng(51)
+    lin = dm.Linear(12, 6, g)
+    data = g.normal(size=shape).astype(np.float32)
+    upstream = g.normal(size=(*shape[:-1], 6)).astype(np.float32)
+    results = []
+    for fn in (lambda x: lin(x), lambda x: unfused_linear(lin, x)):
+        lin.w.grad = lin.b.grad = None
+        x = dm.Tensor(data.copy(), requires_grad=True)
+        y = fn(x)
+        dm.tensor_sum(dm.mul(y, upstream)).backward()
+        results.append([y.data, x.grad, lin.w.grad, lin.b.grad])
+    for a, b in zip(*results):
+        np.testing.assert_array_equal(a, b)
+
+
+def unfused_block(block, q_in, kv_in, mask=None):
+    out, w = unfused_attention(unfused_linear(block.wq, q_in), unfused_linear(block.wk, kv_in),
+                               unfused_linear(block.wv, kv_in), block.n_heads, mask)
+    return unfused_linear(block.wo, out), w
+
+
+@pytest.mark.parametrize("lead", [(), (3,)], ids=["2d", "batched"])
+def test_fused_attention_block_gradients_equal_unfused_chain(lead):
+    # the projections' backward reads the attention node's input gradients,
+    # so this also pins their memory layout to the chain's
+    g = rng(58)
+    block = dm.AttentionBlock(64, 8, g)
+    params = [p for _, p in block.named_parameters("a")]
+    x = g.normal(size=(*lead, 20, 64)).astype(np.float32)
+    mem = g.normal(size=(*lead, 30, 64)).astype(np.float32)
+    mask = g.random((20, 30)) > 0.5
+    mask[:, 0] = True
+    upstream = g.normal(size=(*lead, 20, 64)).astype(np.float32)
+    results = []
+    for fn in (block, lambda *a: unfused_block(block, *a)):
+        for p in params:
+            p.grad = None
+        xt, mt = dm.Tensor(x.copy(), requires_grad=True), dm.Tensor(mem.copy(), requires_grad=True)
+        out, w = fn(xt, mt, mask)
+        dm.tensor_sum(dm.mul(out, upstream)).backward()
+        results.append([out.data, w.data, xt.grad, mt.grad] + [p.grad for p in params])
+    for a, b in zip(*results):
+        np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("shared", [False, True], ids=["qkv", "one-tensor"])
+def test_grad_fused_attention_float64(shared):
+    g = rng(52)
+    q = dm.Tensor(g.normal(size=(4, 8)).astype(np.float32), requires_grad=True)
+    k, v = (q, q) if shared else (dm.Tensor(g.normal(size=(4, 8)).astype(np.float32),
+                                            requires_grad=True) for _ in range(2))
+    mask = np.tril(np.ones((4, 4), dtype=bool))
+    params = [q] if shared else [q, k, v]
+    err = dm.gradient_check(lambda: weighted_sum(dm.multi_head_attention(q, k, v, 2, mask)[0]),
+                            params, eps=1e-5, samples=48, float64=True)
+    assert err < 1e-6
+
+
+def test_attention_masked_positions_get_exactly_zero_weight_and_gradient():
+    g = rng(54)
+    q, k, v = (dm.Tensor(g.normal(size=(2, 4, 8)).astype(np.float32), requires_grad=True)
+               for _ in range(3))
+    mask = g.random((4, 4)) > 0.5
+    mask[:, 0] = True
+    mask[:, 3] = False  # key 3 is visible to no query
+    out, w = dm.multi_head_attention(q, k, v, 2, mask)
+    assert np.all(w.data[:, ~mask] == 0.0)
+    weighted_sum(out).backward()
+    assert np.all(k.grad[:, 3] == 0.0) and np.all(v.grad[:, 3] == 0.0)
+    assert np.all(k.grad[:, 0] != 0.0) and np.all(v.grad[:, 0] != 0.0)
+
+
+def test_attention_weights_are_outside_the_graph():
+    x = dm.Tensor(rng(55).normal(size=(3, 4)).astype(np.float32), requires_grad=True)
+    out, w = dm.multi_head_attention(x, x, x, 2)
+    assert out.requires_grad and not w.requires_grad and w._parents == ()
+    _, none = dm.multi_head_attention(x, x, x, 2, need_weights=False)
+    assert none is None
+
+
+# -- graph release ----------------------------------------------------------------
+
+
+def test_backward_releases_the_graph():
+    layer = dm.TransformerLayer(8, 2, rng(56))
+    x = dm.Tensor(rng(57).normal(size=(3, 8)).astype(np.float32), requires_grad=True)
+    loss = weighted_sum(layer(x)[0])
+    loss.backward()
+    assert loss._parents == ()
+    assert x.grad is not None and all(p.grad is not None for _, p in layer.named_parameters("l"))
+
+
+def test_second_backward_raises():
+    w = dm.Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
+    hidden = dm.mul(w, 2.0)
+    loss = dm.tensor_sum(hidden)
+    loss.backward()
+    np.testing.assert_array_equal(w.grad, [2.0, 2.0, 2.0])
+    with pytest.raises(dm.GraphReleasedError, match="released"):
+        loss.backward()
+    with pytest.raises(dm.GraphReleasedError):  # a new graph through a released node
+        dm.tensor_sum(dm.mul(hidden, 3.0)).backward()
+    np.testing.assert_array_equal(w.grad, [2.0, 2.0, 2.0])
+    dm.tensor_sum(dm.mul(w, 3.0)).backward()  # leaves stay usable
+    np.testing.assert_array_equal(w.grad, [5.0, 5.0, 5.0])
+
+
 # -- transformer layers -------------------------------------------------------------
 
 
@@ -409,7 +630,8 @@ def test_no_grad_nodes_are_plain_leaves():
     x = dm.Tensor(rng(41).normal(size=(2, 3)).astype(np.float32))
     with dm.no_grad():
         for out in (dm.matmul(x, w), dm.relu(w), dm.add(w, w), dm.layer_norm(
-                w, dm.Tensor(np.ones(4), requires_grad=True), dm.Tensor(np.zeros(4)))):
+                w, dm.Tensor(np.ones(4), requires_grad=True), dm.Tensor(np.zeros(4))),
+                dm.Linear(4, 2, rng(44))(w), dm.multi_head_attention(w, w, w, 2)[0]):
             assert out.requires_grad is False
             assert out._parents == () and out._backward is None
     assert dm.matmul(x, w).requires_grad

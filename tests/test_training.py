@@ -1,6 +1,7 @@
 """Losses against plug-in oracles, long-tail variants, config parsing, and
 the training loop (smoke, determinism, loss bookkeeping)."""
 
+import gc
 import json
 import math
 import os
@@ -426,6 +427,39 @@ def test_train_state_round_trip(tiny_setup, tmp_path):
     path2 = tmp_path / "state2.bin"
     loaded.save(path2)
     assert (out / "train_state.bin").read_bytes() == path2.read_bytes()
+
+
+def test_train_state_load_names_missing_optimizer_keys(tiny_setup, tmp_path):
+    result, cfg = tiny_setup
+    out = tmp_path / "state"
+    train(result.train, result.lexicon, cfg, out)
+    with pytest.raises(dm.CheckpointError,
+                       match=r"lacks lr, optim_t, epoch, step, optim\.m\.\*, optim\.v\.\*"):
+        TrainState.load(out / "checkpoint_last.bin")  # model only
+    arrays, meta = dm.load_tensors(out / "train_state.bin")
+    del meta["step"], arrays["optim.v.encoder.obj_proj.w"]
+    dm.save_tensors(tmp_path / "partial.bin", arrays, meta)
+    with pytest.raises(dm.CheckpointError, match=r"lacks step, optim\.v\.encoder\.obj_proj\.w$"):
+        TrainState.load(tmp_path / "partial.bin")
+
+
+def test_training_graphs_leave_no_cyclic_garbage(tiny_setup):
+    result, cfg = tiny_setup
+    vocab = build_vocabulary(caption_corpus(result.train), 1)
+    mcfg = model_config_for(cfg, result.train, result.lexicon, vocab)
+    model = SituationModel(mcfg, result.lexicon, vocab, rng(3))
+    compiled = [compile_sample(s, vocab, mcfg) for s in result.train[:3]]
+    gc.collect()
+    gc.disable()
+    try:
+        for c in compiled:
+            loss, _ = video_loss(model, c, cfg)
+            loss.backward()
+        del loss
+        collected = gc.collect()
+    finally:
+        gc.enable()
+    assert collected == 0
 
 
 def test_balanced_sampling_mode_runs(tiny_setup, tmp_path):

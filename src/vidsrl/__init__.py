@@ -2,10 +2,9 @@
 spatio-temporal grounding for multi-event videos."""
 
 from .data_model import (
-    ROLES, VISUAL_ROLES, Event, FrameSchedule, GroundingDict, ObjectProposal,
-    SituationAnnotation, VerbLexicon, VideoSample, Vocabulary,
-    associate_proposals, build_frame_schedule, build_vocabulary, load_dataset,
-    load_dataset_dir, roles_for_verb, validate_sample,
+    ROLES, VISUAL_ROLES, Event, FrameSchedule, GroundingDict, SituationAnnotation,
+    VerbLexicon, VideoSample, Vocabulary, build_frame_schedule, build_vocabulary,
+    load_dataset, load_dataset_dir, roles_for_verb, validate_sample,
 )
 from .encoder import ModelConfig, VideoObjectEncoder
 from .metrics import EvalReport, box_iou, cider, cider_grouped, evaluate, rouge_l

@@ -1,10 +1,11 @@
 """Domain types, dataset file formats, vocabulary, and the deterministic
-frame/event/proposal association logic.
+frame/event schedule.
 
 A video is a fixed protocol object: 5 events tiling its duration, frames
 subsampled at a configurable rate (1 fps default), and M object proposals
-per frame. Events own the frames inside their time span; border frames are
-shared by both adjacent events.
+per frame, held as (T, M, D) features and (T, M, 4) boxes. Events own the
+frames inside their time span; border frames are shared by both adjacent
+events.
 """
 
 from __future__ import annotations
@@ -59,16 +60,6 @@ class FrameSchedule:
             if frame_index in frames:
                 return i
         raise KeyError(f"frame {frame_index} outside every event")
-
-
-@dataclass(frozen=True)
-class ObjectProposal:
-    frame_index: int
-    slot: int
-    box: tuple[float, float, float, float]  # x1, y1, x2, y2 pixels
-    width: float
-    height: float
-    feature: np.ndarray
 
 
 @dataclass
@@ -185,18 +176,18 @@ class VideoSample:
     events: list[Event]
     schedule: FrameSchedule
     event_features: np.ndarray  # (5, D_vid)
-    proposals: list[ObjectProposal]  # ordered by (frame, slot), length T*M
+    object_features: np.ndarray  # (T, M, D_obj) float32
+    boxes: np.ndarray  # (T, M, 4) float64: x1, y1, x2, y2 pixels
+    width: float  # frame size in pixels
+    height: float
     annotation: SituationAnnotation
 
     @property
     def n_slots(self) -> int:
-        return len(self.proposals) // self.schedule.n_frames
-
-    def proposal_index(self, frame_index: int, slot: int) -> int:
-        return frame_index * self.n_slots + slot
+        return self.object_features.shape[1]
 
 
-# -- schedule / association ------------------------------------------------
+# -- schedule ----------------------------------------------------------------
 
 
 def make_events(duration: float, boundaries: list[tuple[float, float]]) -> list[Event]:
@@ -233,23 +224,6 @@ def build_frame_schedule(duration_s: float, events: list[Event], fps: float = 1.
             raise DatasetError(f"event {e.index} contains no frames at fps={fps}")
         per_event.append(frames)
     return FrameSchedule(frame_times=times, per_event_frames=tuple(per_event))
-
-
-def associate_proposals(schedule: FrameSchedule, proposals: list[ObjectProposal]) -> list[list[int]]:
-    """Proposal indices per event; border-frame proposals appear in both."""
-    frame_sets = [set(frames) for frames in schedule.per_event_frames]
-    out: list[list[int]] = [[] for _ in frame_sets]
-    for idx, p in enumerate(proposals):
-        if not (0 <= p.frame_index < schedule.n_frames):
-            raise DatasetError(f"proposal at index {idx} has out-of-schedule frame {p.frame_index}")
-        hit = False
-        for i, frames in enumerate(frame_sets):
-            if p.frame_index in frames:
-                out[i].append(idx)
-                hit = True
-        if not hit:
-            raise DatasetError(f"proposal frame {p.frame_index} belongs to no event")
-    return out
 
 
 # -- vocabulary --------------------------------------------------------------
@@ -387,27 +361,22 @@ def load_sample(record: dict, base_dir: str) -> VideoSample:
 
     event_features = read_feature_file(path_of("event_features"), context=vid)
     object_features = read_feature_file(path_of("object_features"), context=vid)
-    with open(path_of("boxes")) as f:
-        boxes_doc = json.load(f)
-    width = float(boxes_doc["width"])
-    height = float(boxes_doc["height"])
-    boxes = boxes_doc["boxes"]
-
     if object_features.ndim != 3:
         raise DatasetError(f"{vid}: object features must be (T, M, D), got {object_features.shape}")
-    n_frames, n_slots, _ = object_features.shape
-    if len(boxes) != n_frames or any(len(row) != n_slots for row in boxes):
-        raise DatasetError(f"{vid}: box list does not parallel object features")
-
-    proposals = []
-    for t in range(n_frames):
-        for m in range(n_slots):
-            proposals.append(ObjectProposal(
-                frame_index=t, slot=m,
-                box=tuple(float(x) for x in boxes[t][m]),
-                width=width, height=height,
-                feature=object_features[t, m],
-            ))
+    boxes_path = path_of("boxes")
+    try:
+        with open(boxes_path) as f:
+            boxes_doc = json.load(f)
+        width, height = float(boxes_doc["width"]), float(boxes_doc["height"])
+        boxes = np.asarray(boxes_doc["boxes"], dtype=np.float64)
+    except KeyError as e:
+        raise DatasetError(f"{vid}: boxes file {boxes_path} lacks {e}") from e
+    except (TypeError, ValueError) as e:
+        raise DatasetError(f"{vid}: boxes file {boxes_path} is malformed: {e}") from e
+    expected = object_features.shape[:2] + (4,)
+    if boxes.shape != expected:
+        raise DatasetError(f"{vid}: boxes in {boxes_path} have shape {boxes.shape}, "
+                           f"the object features need {expected}")
 
     annotation = _annotation_from_dict(record["annotation"])
     if "grounding" in record and record["grounding"]:
@@ -416,7 +385,8 @@ def load_sample(record: dict, base_dir: str) -> VideoSample:
 
     return VideoSample(
         id=vid, duration=duration, fps=fps, events=events, schedule=schedule,
-        event_features=event_features, proposals=proposals, annotation=annotation,
+        event_features=event_features, object_features=object_features, boxes=boxes,
+        width=width, height=height, annotation=annotation,
     )
 
 
@@ -440,7 +410,7 @@ def load_dataset(manifest_path, validate: bool = True,
                 errors.extend(validate_sample(sample, lexicon))
             samples.append(sample)
     if validate:
-        dims = {(s.event_features.shape[1], s.proposals[0].feature.shape[0]) for s in samples}
+        dims = {(s.event_features.shape[1], s.object_features.shape[2]) for s in samples}
         if len(dims) > 1:
             errors.append(f"inconsistent feature dimensions across dataset: {sorted(dims)}")
         if errors:
@@ -463,26 +433,16 @@ def validate_sample(sample: VideoSample, lexicon: VerbLexicon | None = None) -> 
         errs.append(f"{vid}: event feature rows {sample.event_features.shape[0]} != "
                     f"{len(sample.events)} events")
 
-    n_frames = sample.schedule.n_frames
-    if len(sample.proposals) % n_frames != 0:
-        errs.append(f"{vid}: proposal count {len(sample.proposals)} not a multiple of T={n_frames}")
-    else:
-        n_slots = sample.n_slots
-        for idx, p in enumerate(sample.proposals):
-            if idx != p.frame_index * n_slots + p.slot:
-                errs.append(f"{vid}: proposal {idx} out of (frame, slot) order")
-                break
-        per_frame: dict[int, int] = {}
-        for p in sample.proposals:
-            per_frame[p.frame_index] = per_frame.get(p.frame_index, 0) + 1
-        if any(c != n_slots for c in per_frame.values()) or len(per_frame) != n_frames:
-            errs.append(f"{vid}: proposals are not exactly {n_slots} per frame")
-
-    for idx, p in enumerate(sample.proposals):
-        x1, y1, x2, y2 = p.box
-        if not (0 <= x1 < x2 <= p.width and 0 <= y1 < y2 <= p.height):
-            errs.append(f"{vid}: proposal {idx} has malformed box {p.box} "
-                        f"for frame size {p.width}x{p.height}")
+    n_frames, n_slots = sample.object_features.shape[:2]
+    if n_frames != sample.schedule.n_frames:
+        errs.append(f"{vid}: object features have {n_frames} frames, "
+                    f"the schedule has {sample.schedule.n_frames}")
+    x1, y1, x2, y2 = np.moveaxis(sample.boxes, -1, 0)
+    ok = ((0 <= x1) & (x1 < x2) & (x2 <= sample.width)
+          & (0 <= y1) & (y1 < y2) & (y2 <= sample.height))
+    for t, m in np.argwhere(~ok):
+        errs.append(f"{vid}: proposal {t * n_slots + m} (frame {t}, slot {m}) has malformed box "
+                    f"{sample.boxes[t, m].tolist()} for frame size {sample.width}x{sample.height}")
 
     ann = sample.annotation
     if len(ann.events) != len(sample.events):

@@ -58,19 +58,17 @@ class ModelConfig(ArchConfig):
 
 def box_position_features(sample: VideoSample) -> np.ndarray:
     """(T*M, 5) array of (cx, cy, w, h, area), all normalized to [0, 1]."""
-    out = np.empty((len(sample.proposals), 5), dtype=np.float32)
-    for i, p in enumerate(sample.proposals):
-        x1, y1, x2, y2 = p.box
-        w = (x2 - x1) / p.width
-        h = (y2 - y1) / p.height
-        out[i] = ((x1 + x2) / (2 * p.width), (y1 + y2) / (2 * p.height), w, h, w * h)
-    return out
+    x1, y1, x2, y2 = sample.boxes.reshape(-1, 4).T
+    w = (x2 - x1) / sample.width
+    h = (y2 - y1) / sample.height
+    return np.stack([(x1 + x2) / (2 * sample.width), (y1 + y2) / (2 * sample.height),
+                     w, h, w * h], axis=1).astype(np.float32)
 
 
 def proposal_event_owners(sample: VideoSample) -> np.ndarray:
     """Earliest owning event index for every proposal (for its PE)."""
-    return np.array([sample.schedule.owner_event(p.frame_index) for p in sample.proposals],
-                    dtype=np.int64)
+    frame_owners = [sample.schedule.owner_event(t) for t in range(sample.schedule.n_frames)]
+    return np.repeat(np.array(frame_owners, dtype=np.int64), sample.n_slots)
 
 
 @dataclass
@@ -84,7 +82,7 @@ class SampleInputs:
 
 
 def prepare_inputs(sample: VideoSample, degrade_objects: bool = False) -> SampleInputs:
-    obj = np.stack([p.feature for p in sample.proposals]).astype(np.float32)
+    obj = sample.object_features.reshape(-1, sample.object_features.shape[2]).astype(np.float32)
     evt = sample.event_features.astype(np.float32)
     owners = proposal_event_owners(sample)
     if degrade_objects:

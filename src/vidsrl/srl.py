@@ -21,7 +21,7 @@ import numpy as np
 
 from . import diffmath as dm
 from .data_model import (
-    BOS, EOS, ROLES, ROLE_IDS, FrameSchedule, VerbLexicon, VideoSample,
+    BOS, EOS, ROLES, ROLE_IDS, DatasetError, FrameSchedule, VerbLexicon, VideoSample,
     Vocabulary, normalize_caption, roles_for_verb,
 )
 from .encoder import ModelConfig, VideoObjectEncoder, prepare_inputs
@@ -119,9 +119,10 @@ def extract_grounding(alpha_row: np.ndarray, allowed: np.ndarray,
     """
     scores = np.where(allowed, alpha_row, -1.0)
     p = int(np.argmax(scores))
-    prop = sample.proposals[p]
-    return GroundingPrediction(slot=prop.slot, frame=prop.frame_index,
-                               box=prop.box, score=float(alpha_row[p]))
+    frame, slot = divmod(p, sample.n_slots)
+    return GroundingPrediction(slot=slot, frame=frame,
+                               box=tuple(sample.boxes[frame, slot].tolist()),
+                               score=float(alpha_row[p]))
 
 
 # -- captioning (stage 3) ----------------------------------------------------
@@ -272,18 +273,24 @@ class SituationModel:
     def parameters(self) -> list[dm.Tensor]:
         return [p for _, p in self.named_parameters()]
 
-    def save(self, path):
-        arrays = {name: p.data for name, p in self.named_parameters()}
-        meta = {
+    def meta(self) -> dict:
+        """What a checkpoint records beside the parameters to rebuild the model."""
+        return {
             "config": self.cfg.to_dict(),
             "lexicon": self.lexicon.to_dict(),
             "vocab": self.vocab.to_dict(),
         }
-        dm.save_tensors(path, arrays, meta)
+
+    def save(self, path):
+        dm.save_tensors(path, {name: p.data for name, p in self.named_parameters()}, self.meta())
 
     @classmethod
     def load(cls, path) -> "SituationModel":
-        arrays, meta = dm.load_tensors(path)
+        return cls.from_tensors(*dm.load_tensors(path))
+
+    @classmethod
+    def from_tensors(cls, arrays: dict, meta: dict) -> "SituationModel":
+        """The model held by a loaded checkpoint's arrays and meta."""
         missing = [key for key in ("config", "lexicon", "vocab") if key not in meta]
         if missing:
             raise dm.CheckpointError(f"checkpoint meta lacks {', '.join(map(repr, missing))}")
@@ -306,7 +313,7 @@ class SituationModel:
             raise dm.CheckpointError("the dataset's verb lexicon differs from the checkpoint's")
         for s in samples:
             for key, size in (("d_vid", s.event_features.shape[1]),
-                              ("d_obj", s.proposals[0].feature.shape[0])):
+                              ("d_obj", s.object_features.shape[2])):
                 expected = getattr(self.cfg, key)
                 if size != expected:
                     raise dm.CheckpointError(f"video {s.id!r} has {key} {size}, "
@@ -431,10 +438,18 @@ def write_predictions(path, per_video: list[list[PredictionRecord]], include_alp
 
 
 def read_predictions(path) -> list[list[PredictionRecord]]:
+    """Inverse of :func:`write_predictions`; a line that is not JSON or lacks
+    a key raises DatasetError naming the path and line number."""
     out = []
     with open(path) as f:
-        for line in f:
+        for line_no, line in enumerate(f, 1):
             line = line.strip()
-            if line:
+            if not line:
+                continue
+            try:
                 out.append(records_from_json(json.loads(line)))
+            except json.JSONDecodeError as e:
+                raise DatasetError(f"{path}:{line_no}: malformed JSON: {e}") from e
+            except KeyError as e:
+                raise DatasetError(f"{path}:{line_no}: prediction record lacks {e}") from e
     return out

@@ -20,7 +20,7 @@ import numpy as np
 
 from .data_model import (
     EVENTS_PER_VIDEO, ROLES, VISUAL_ROLES, Event, EventAnnotation, GroundingDict,
-    ObjectProposal, SituationAnnotation, VerbLexicon, VideoSample,
+    SituationAnnotation, VerbLexicon, VideoSample,
     annotation_to_dict, build_frame_schedule, write_feature_file,
 )
 from .srl import GroundingPrediction, PredictionRecord, RolePrediction
@@ -245,7 +245,8 @@ def generate(cfg: SynthConfig) -> SynthResult:
 
         object_features = (cfg.noise * rng.standard_normal(
             (n_frames, cfg.n_slots, cfg.d_obj))).astype(np.float32)
-        boxes = [[_distractor_box(rng) for _ in range(cfg.n_slots)] for _ in range(n_frames)]
+        boxes = np.array([[_distractor_box(rng) for _ in range(cfg.n_slots)]
+                          for _ in range(n_frames)])
 
         noun_perm = rng.permutation(len(nouns))
         attr_perm = rng.permutation(len(attrs))
@@ -267,7 +268,7 @@ def generate(cfg: SynthConfig) -> SynthResult:
                 object_features[t_plant, slot] = feat + cfg.noise * rng.standard_normal(
                     cfg.d_obj).astype(np.float32)
                 box = _planted_box(role, rng)
-                boxes[t_plant][slot] = box
+                boxes[t_plant, slot] = box
                 caption = _caption((ni + ai) % 3, attrs[ai], nouns[ni])
                 caps[role] = [caption]
                 ev_plants[role] = PlantedEntity(frame=t_plant, slot=slot, box=box,
@@ -284,15 +285,10 @@ def generate(cfg: SynthConfig) -> SynthResult:
                         entries[(i, role)] = {plant.frame: plant.box}
             grounding = GroundingDict(entries=entries)
 
-        proposals = [
-            ObjectProposal(frame_index=t, slot=m, box=boxes[t][m],
-                           width=FRAME_W, height=FRAME_H,
-                           feature=object_features[t, m])
-            for t in range(n_frames) for m in range(cfg.n_slots)
-        ]
         samples.append(VideoSample(
             id=vid, duration=cfg.duration, fps=cfg.fps, events=events, schedule=schedule,
-            event_features=event_features, proposals=proposals,
+            event_features=event_features, object_features=object_features, boxes=boxes,
+            width=FRAME_W, height=FRAME_H,
             annotation=SituationAnnotation(events=annotations, grounding=grounding),
         ))
         secret_verbs[vid] = verbs
@@ -331,14 +327,10 @@ def _write_sample(out_dir, sample: VideoSample) -> dict:
     obj_path = f"features/{vid}.objects.bin"
     boxes_path = f"features/{vid}.boxes.json"
     write_feature_file(os.path.join(out_dir, ev_path), sample.event_features)
-
-    n_frames, n_slots = sample.schedule.n_frames, sample.n_slots
-    obj = np.stack([p.feature for p in sample.proposals]).reshape(n_frames, n_slots, -1)
-    write_feature_file(os.path.join(out_dir, obj_path), obj)
-    boxes = [[list(sample.proposals[sample.proposal_index(t, m)].box)
-              for m in range(n_slots)] for t in range(n_frames)]
+    write_feature_file(os.path.join(out_dir, obj_path), sample.object_features)
     with open(os.path.join(out_dir, boxes_path), "w") as f:
-        json.dump({"width": FRAME_W, "height": FRAME_H, "boxes": boxes}, f, sort_keys=True)
+        json.dump({"width": sample.width, "height": sample.height,
+                   "boxes": sample.boxes.tolist()}, f, sort_keys=True)
 
     record = {
         "id": vid,

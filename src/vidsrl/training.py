@@ -316,9 +316,7 @@ class TrainState:
             arrays[f"optim.m.{name}"] = self.optimizer.m[name]
             arrays[f"optim.v.{name}"] = self.optimizer.v[name]
         meta = {
-            "config": self.model.cfg.to_dict(),
-            "lexicon": self.model.lexicon.to_dict(),
-            "vocab": self.model.vocab.to_dict(),
+            **self.model.meta(),
             "epoch": self.epoch,
             "step": self.step,
             "optim_t": self.optimizer.t,
@@ -331,7 +329,7 @@ class TrainState:
         """Inverse of :meth:`save`. A model-only checkpoint, or any file
         without the optimizer state, raises CheckpointError naming what it lacks."""
         arrays, meta = dm.load_tensors(path)
-        model = SituationModel.load(path)
+        model = SituationModel.from_tensors(arrays, meta)
         names = [name for name, _ in model.named_parameters()]
         missing = [key for key in ("lr", "optim_t", "epoch", "step") if key not in meta]
         for kind in ("m", "v"):
@@ -356,7 +354,7 @@ def model_config_for(train_cfg: TrainConfig, samples: list[VideoSample],
     return ModelConfig(
         **{f.name: getattr(train_cfg, f.name) for f in fields(ArchConfig)},
         d_vid=first.event_features.shape[1],
-        d_obj=first.proposals[0].feature.shape[0],
+        d_obj=first.object_features.shape[2],
         n_verbs=len(lexicon),
         n_events=len(first.events),
         vocab_size=len(vocab),

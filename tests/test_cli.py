@@ -254,3 +254,47 @@ def test_validate_reports_lexicon_without_role_map(workspace, tmp_path, capsys):
     assert main(["validate", "--data", str(broken)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "'role_map'" in err
+
+
+def test_validate_reports_malformed_boxes_file(workspace, tmp_path, capsys):
+    _, data, _ = workspace
+    import shutil
+    broken = tmp_path / "broken"
+    shutil.copytree(data, broken)
+    victim = json.loads((broken / "manifest_train.jsonl").read_text().splitlines()[0])["id"]
+    path = broken / "features" / f"{victim}.boxes.json"
+    doc = json.loads(path.read_text())
+    doc["boxes"][0][1] = doc["boxes"][0][1][:3]
+    path.write_text(json.dumps(doc))
+    assert main(["validate", "--data", str(broken)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and victim in err and f"{victim}.boxes.json" in err
+
+
+@pytest.fixture(scope="module")
+def predictions(workspace):
+    root, data, run = workspace
+    preds = root / "preds_for_errors.jsonl"
+    assert main(["predict", "--data", str(data), "--split", "val", "--checkpoint",
+                 str(run / "checkpoint_last.bin"), "--out", str(preds)]) == 0
+    return preds.read_text().splitlines()
+
+
+def test_eval_reports_prediction_line_that_is_not_json(workspace, predictions, tmp_path,
+                                                       capsys):
+    _, data, _ = workspace
+    path = tmp_path / "preds.jsonl"
+    path.write_text(predictions[0] + "\n" + predictions[1][:-7] + "\n")
+    assert main(["eval", "--data", str(data), "--predictions", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}:2: malformed JSON")
+
+
+def test_ground_reports_prediction_line_without_roles(predictions, tmp_path, capsys):
+    doc = json.loads(predictions[1])
+    del doc["events"][0]["roles"]
+    path = tmp_path / "preds.jsonl"
+    path.write_text(predictions[0] + "\n" + json.dumps(doc) + "\n")
+    assert main(["ground", "--predictions", str(path), "--out", str(tmp_path / "g.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}:2: prediction record lacks 'roles'")

@@ -1,6 +1,7 @@
-"""Domain types, schedules, proposal association, vocabulary, dataset I/O."""
+"""Domain types, schedules, vocabulary, dataset I/O."""
 
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -8,12 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vidsrl.data_model import (
-    ROLE_IDS, ROLES, DatasetError, Event, ObjectProposal, VerbLexicon,
-    associate_proposals, build_frame_schedule, build_vocabulary,
+    ROLE_IDS, ROLES, DatasetError, Event, VerbLexicon, build_frame_schedule, build_vocabulary,
     load_dataset, load_dataset_dir, make_events, read_feature_file,
     roles_for_verb, validate_sample, write_feature_file,
 )
-from vidsrl.synth import SynthConfig, generate, write_dataset
+from vidsrl.synth import SynthConfig, SynthResult, generate, load_secrets, write_dataset
 
 
 def five_events(duration=10.0):
@@ -132,49 +132,6 @@ def test_all_frames_covered_by_events():
         assert all(len(f) >= 1 for f in sched.per_event_frames)
 
 
-# -- proposal association -----------------------------------------------------------
-
-
-def proposals_for(sched, m, d=4):
-    out = []
-    for t in range(sched.n_frames):
-        for slot in range(m):
-            out.append(ObjectProposal(frame_index=t, slot=slot, box=(0, 0, 10, 10),
-                                      width=100, height=100, feature=np.zeros(d, np.float32)))
-    return out
-
-
-def test_associate_counts_and_borders():
-    sched = build_frame_schedule(10.0, five_events(), fps=1.0)
-    props = proposals_for(sched, m=15)
-    assert len(props) == 165  # T * M distinct proposals
-    groups = associate_proposals(sched, props)
-    assert all(len(g) == 45 for g in groups)  # 3 frames x 15 slots per event
-    border = [i for i, p in enumerate(props) if p.frame_index == 2]
-    for idx in border:
-        assert idx in groups[0] and idx in groups[1]
-    shared = sum(len(set(a) & set(b)) > 0 for a, b in zip(groups, groups[1:]))
-    assert shared == 4
-
-
-def test_associate_sum_identity():
-    # sum over events counts border proposals twice
-    sched = build_frame_schedule(10.0, five_events(), fps=1.0)
-    m = 7
-    groups = associate_proposals(sched, proposals_for(sched, m=m))
-    n_borders = 4
-    assert sum(len(g) for g in groups) == m * (sched.n_frames + n_borders)
-
-
-def test_associate_rejects_out_of_schedule_frame():
-    sched = build_frame_schedule(10.0, five_events(), fps=1.0)
-    props = proposals_for(sched, m=1)
-    props.append(ObjectProposal(frame_index=99, slot=0, box=(0, 0, 1, 1),
-                                width=10, height=10, feature=np.zeros(4, np.float32)))
-    with pytest.raises(DatasetError, match="out-of-schedule"):
-        associate_proposals(sched, props)
-
-
 # -- vocabulary -------------------------------------------------------------------------
 
 
@@ -239,14 +196,61 @@ def test_load_wellformed_dataset(small_dataset):
     for s, orig in zip(samples, result.train):
         assert validate_sample(s, lexicon) == []
         np.testing.assert_array_equal(s.event_features, orig.event_features)
-        assert [p.box for p in s.proposals] == [p.box for p in orig.proposals]
+        np.testing.assert_array_equal(s.object_features, orig.object_features)
+        np.testing.assert_array_equal(s.boxes, orig.boxes)
+        assert s.object_features.dtype == np.float32 and s.boxes.dtype == np.float64
     val, _ = load_dataset_dir(out, split="val")
     assert val[0].annotation.grounding is not None
 
 
+def test_rewriting_a_loaded_dataset_reproduces_every_file(small_dataset, tmp_path):
+    out, _ = small_dataset
+    train, lexicon = load_dataset_dir(out, split="train")
+    val, _ = load_dataset_dir(out, split="val")
+    copy = tmp_path / "copy"
+    write_dataset(copy, SynthResult(train=train, val=val, lexicon=lexicon,
+                                    secrets=load_secrets(out / "secrets.json")))
+    files = sorted(p.relative_to(out) for p in out.rglob("*") if p.is_file())
+    assert files == sorted(p.relative_to(copy) for p in copy.rglob("*") if p.is_file())
+    for rel in files:
+        assert (copy / rel).read_bytes() == (out / rel).read_bytes(), rel
+
+
+def _three_number_box(doc):
+    doc["boxes"][1][2] = doc["boxes"][1][2][:3]
+
+
+def _string_coordinate(doc):
+    doc["boxes"][0][0][1] = "x"
+
+
+def _ragged_rows(doc):
+    del doc["boxes"][3][-1]
+
+
+def _without(key):
+    return lambda doc: doc.pop(key)
+
+
+@pytest.mark.parametrize("edit", [_three_number_box, _string_coordinate, _ragged_rows,
+                                  _without("width"), _without("height")],
+                         ids=["three-number-box", "string-coordinate", "ragged-rows",
+                              "no-width", "no-height"])
+def test_malformed_boxes_file_names_video_and_file(small_dataset, tmp_path, edit):
+    out, result = small_dataset
+    broken = tmp_path / "broken"
+    shutil.copytree(out, broken)
+    victim = result.train[1].id
+    path = broken / "features" / f"{victim}.boxes.json"
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(DatasetError, match=f"{victim}: .*{victim}.boxes.json"):
+        load_dataset(broken / "manifest_train.jsonl")
+
+
 def test_truncated_feature_file_names_video(small_dataset, tmp_path):
     out, result = small_dataset
-    import shutil
     broken = tmp_path / "broken"
     shutil.copytree(out, broken)
     victim = result.train[0].id
@@ -260,7 +264,6 @@ def test_truncated_feature_file_names_video(small_dataset, tmp_path):
 @pytest.mark.parametrize("key", ["duration", "events", "object_features", "annotation"])
 def test_record_without_required_key_names_video_and_key(small_dataset, tmp_path, key):
     out, result = small_dataset
-    import shutil
     broken = tmp_path / "broken"
     shutil.copytree(out, broken)
     manifest = broken / "manifest_train.jsonl"
@@ -289,11 +292,19 @@ def test_validate_flags_bad_box(small_dataset):
     out, _ = small_dataset
     samples, lexicon = load_dataset_dir(out, split="train")
     sample = samples[1]
-    p = sample.proposals[7]
-    sample.proposals[7] = ObjectProposal(p.frame_index, p.slot, (50, 10, 20, 40),
-                                         p.width, p.height, p.feature)
+    sample.boxes[1, 2] = (50, 10, 20, 40)
     errs = validate_sample(sample, lexicon)
     assert any("malformed box" in e for e in errs)
+
+
+def test_validate_flags_frame_count_off_schedule(small_dataset):
+    out, _ = small_dataset
+    samples, lexicon = load_dataset_dir(out, split="train")
+    sample = samples[0]
+    sample.object_features = sample.object_features[:-1]
+    sample.boxes = sample.boxes[:-1]
+    errs = validate_sample(sample, lexicon)
+    assert errs == [f"{sample.id}: object features have 10 frames, the schedule has 11"]
 
 
 def test_feature_file_round_trip(tmp_path):

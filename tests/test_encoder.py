@@ -87,14 +87,27 @@ def test_identical_proposals_differ_by_event_pe(encoder):
 
 def test_border_proposal_gets_earlier_event_pe(full_sample):
     owners = proposal_event_owners(full_sample)
-    border = full_sample.proposal_index(2, 0)  # frame 2 is shared by events 0 and 1
-    assert owners[border] == 0
+    oracle = [full_sample.schedule.owner_event(p // 15) for p in range(165)]
+    np.testing.assert_array_equal(owners, oracle)
+    assert (owners.reshape(11, 15)[2] == 0).all()  # frame 2 is shared by events 0 and 1
+
+
+def box_position_oracle(sample):
+    """Per-proposal float64 arithmetic, each value then rounded to float32."""
+    out = np.empty((sample.boxes.shape[0] * sample.n_slots, 5), dtype=np.float32)
+    for i, box in enumerate(sample.boxes.reshape(-1, 4).tolist()):
+        x1, y1, x2, y2 = box
+        w = (x2 - x1) / sample.width
+        h = (y2 - y1) / sample.height
+        out[i] = ((x1 + x2) / (2 * sample.width), (y1 + y2) / (2 * sample.height), w, h, w * h)
+    return out
 
 
 def test_box_position_features_normalized(full_sample):
     feats = box_position_features(full_sample)
     assert feats.shape == (165, 5)
     assert np.all(feats >= 0) and np.all(feats <= 1)
+    assert np.array_equal(feats, box_position_oracle(full_sample))
 
 
 def test_encode_preserves_token_count(full_sample, encoder):

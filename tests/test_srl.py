@@ -1,12 +1,15 @@
 """Stages 2 and 3: role queries, event-aware masked decoding, grounding
 extraction, caption generation, and the three inference regimes."""
 
+import json
+import re
+
 import numpy as np
 import pytest
 
 from vidsrl import diffmath as dm
 from vidsrl.data_model import (
-    BOS, EOS, ROLE_IDS, build_frame_schedule, build_vocabulary, make_events,
+    BOS, EOS, ROLE_IDS, DatasetError, build_frame_schedule, build_vocabulary, make_events,
     roles_for_verb,
 )
 from vidsrl.encoder import ModelConfig
@@ -112,9 +115,11 @@ def test_event_mask_single_event_video_all_true():
 
 def test_event_mask_border_frame_shared():
     sched = default_schedule()
-    mask = build_event_mask([RoleQuery(0, 0), RoleQuery(1, 0)], sched, n_slots=3)
-    border_cols = [2 * 3 + m for m in range(3)]  # frame 2 proposals
-    assert mask[0, border_cols].all() and mask[1, border_cols].all()
+    mask = build_event_mask([RoleQuery(i, 0) for i in range(5)], sched, n_slots=3)
+    for i, border in enumerate((2, 4, 6, 8)):  # each border frame's proposals
+        border_cols = [border * 3 + m for m in range(3)]
+        assert mask[i, border_cols].all() and mask[i + 1, border_cols].all()
+    assert mask.sum() == 3 * (sched.n_frames + 4)  # border proposals count twice
 
 
 # -- role-object decoding --------------------------------------------------------------
@@ -175,36 +180,31 @@ def test_decoder_mask_shape_check():
 
 def test_extract_grounding_unique_max(synth_result):
     sample = synth_result.train[0]
-    n = len(sample.proposals)
-    alpha = np.zeros(n)
-    target = sample.proposal_index(7, 4)
-    alpha[target] = 0.9
-    allowed = np.ones(n, dtype=bool)
-    g = extract_grounding(alpha, allowed, sample)
+    alpha = np.zeros(sample.boxes.shape[:2])
+    alpha[7, 4] = 0.9
+    allowed = np.ones(alpha.size, dtype=bool)
+    g = extract_grounding(alpha.ravel(), allowed, sample)
     assert (g.frame, g.slot) == (7, 4)
-    assert g.box == sample.proposals[target].box
+    assert g.box == tuple(sample.boxes[7, 4])
     assert g.score == pytest.approx(0.9)
 
 
 def test_extract_grounding_tie_prefers_earlier_frame(synth_result):
     sample = synth_result.train[0]
-    n = len(sample.proposals)
-    alpha = np.zeros(n)
-    alpha[sample.proposal_index(1, 3)] = 0.5
-    alpha[sample.proposal_index(2, 3)] = 0.5
-    g = extract_grounding(alpha, np.ones(n, dtype=bool), sample)
+    alpha = np.zeros(sample.boxes.shape[:2])
+    alpha[1, 3] = 0.5
+    alpha[2, 3] = 0.5
+    g = extract_grounding(alpha.ravel(), np.ones(alpha.size, dtype=bool), sample)
     assert (g.frame, g.slot) == (1, 3)
 
 
 def test_extract_grounding_respects_allowed_set(synth_result):
     sample = synth_result.train[0]
-    n = len(sample.proposals)
-    alpha = np.zeros(n)
-    alpha[sample.proposal_index(9, 0)] = 1.0  # outside the allowed set
-    allowed = np.zeros(n, dtype=bool)
-    inside = sample.proposal_index(1, 2)
-    allowed[inside] = True
-    g = extract_grounding(alpha, allowed, sample)
+    alpha = np.zeros(sample.boxes.shape[:2])
+    alpha[9, 0] = 1.0  # outside the allowed set
+    allowed = np.zeros(alpha.shape, dtype=bool)
+    allowed[1, 2] = True
+    g = extract_grounding(alpha.ravel(), allowed.ravel(), sample)
     assert (g.frame, g.slot) == (1, 2)
 
 
@@ -393,17 +393,12 @@ def test_within_frame_permutation_permutes_alpha_keeps_captions(model, synth_res
     permuted = copy.deepcopy(sample)
     m = permuted.n_slots
     perm = rng(25).permutation(m)
-    full_perm = np.arange(len(permuted.proposals))
     frame = 3
-    for new_slot, old_slot in enumerate(perm):
-        full_perm[permuted.proposal_index(frame, new_slot)] = sample.proposal_index(frame, int(old_slot))
-    props = [sample.proposals[i] for i in full_perm]
-    from vidsrl.data_model import ObjectProposal
-    permuted.proposals = [
-        ObjectProposal(frame_index=i // m, slot=i % m, box=p.box,
-                       width=p.width, height=p.height, feature=p.feature)
-        for i, p in enumerate(props)
-    ]
+    permuted.object_features[frame] = sample.object_features[frame, perm]
+    permuted.boxes[frame] = sample.boxes[frame, perm]
+    full_perm = np.arange(sample.boxes.shape[0] * m).reshape(-1, m)
+    full_perm[frame] = full_perm[frame, perm]
+    full_perm = full_perm.ravel()
     rec2 = model.predict_situation(permuted, regime="gt-roles", keep_alpha=True)
     for r1, r2 in zip(rec1, rec2):
         for rp1, rp2 in zip(r1.roles, r2.roles):
@@ -431,11 +426,31 @@ def test_records_round_trip(model, synth_result, tmp_path):
         assert records_to_json(orig) == records_to_json(loaded)
 
 
+@pytest.mark.parametrize("key", ["events", "roles", "role", "caption", "grounding"])
+def test_read_predictions_names_line_without_key(model, synth_result, tmp_path, key):
+    path = tmp_path / "preds.jsonl"
+    write_predictions(path, [model.predict_situation(s) for s in synth_result.train])
+    lines = path.read_text().splitlines()
+    doc = json.loads(lines[1])
+    owners = {"events": doc, "roles": doc["events"][-1]}
+    del owners.get(key, doc["events"][0]["roles"][0])[key]
+    path.write_text(lines[0] + "\n\n" + json.dumps(doc) + "\n")
+    with pytest.raises(DatasetError, match=f"^{re.escape(str(path))}:3: .*lacks '{key}'$"):
+        read_predictions(path)
+
+
+def test_read_predictions_names_line_that_is_not_json(tmp_path):
+    path = tmp_path / "preds.jsonl"
+    path.write_text('{"video_id": "vid0000", "events": [\n')
+    with pytest.raises(DatasetError, match=f"^{re.escape(str(path))}:1: malformed JSON"):
+        read_predictions(path)
+
+
 def test_records_alpha_dump(model, synth_result, tmp_path):
     recs = model.predict_situation(synth_result.train[0], regime="gt-roles", keep_alpha=True)
     doc = records_to_json(recs, include_alpha=True)
     assert "alpha" in doc["events"][0]["roles"][0]
-    n = len(synth_result.train[0].proposals)
+    n = synth_result.train[0].boxes.shape[0] * synth_result.train[0].n_slots
     assert len(doc["events"][0]["roles"][0]["alpha"]) == n
 
 

@@ -37,7 +37,8 @@ def test_generation_is_deterministic_in_memory():
     a, b = generate(cfg), generate(cfg)
     for sa, sb in zip(a.all_samples, b.all_samples):
         np.testing.assert_array_equal(sa.event_features, sb.event_features)
-        assert [p.box for p in sa.proposals] == [p.box for p in sb.proposals]
+        np.testing.assert_array_equal(sa.object_features, sb.object_features)
+        np.testing.assert_array_equal(sa.boxes, sb.boxes)
     assert a.secrets.to_dict() == b.secrets.to_dict()
 
 
@@ -61,7 +62,7 @@ def test_sigma_zero_plants_are_pure_prototypes():
     for s in result.train:
         for i, plants in enumerate(result.secrets.entities[s.id]):
             for role, plant in plants.items():
-                feat = s.proposals[s.proposal_index(plant.frame, plant.slot)].feature
+                feat = s.object_features[plant.frame, plant.slot]
                 key = (role, plant.noun, plant.attr)
                 expected = protos.entity_feature(role, result.nouns.index(plant.noun),
                                                  result.attrs.index(plant.attr))
@@ -83,7 +84,7 @@ def test_sigma_zero_nearest_prototype_recovers_everything():
             sims = protos.verb @ s.event_features[i]
             assert int(np.argmax(sims)) == result.secrets.verbs[s.id][i]
             for role, plant in result.secrets.entities[s.id][i].items():
-                feat = s.proposals[s.proposal_index(plant.frame, plant.slot)].feature
+                feat = s.object_features[plant.frame, plant.slot]
                 chunk = feat[protos.role_dim: protos.role_dim + protos.noun_dim]
                 noun_hat = int(np.argmax(protos.noun @ chunk))
                 assert result.nouns[noun_hat] == plant.noun

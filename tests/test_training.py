@@ -443,6 +443,19 @@ def test_train_state_load_names_missing_optimizer_keys(tiny_setup, tmp_path):
         TrainState.load(tmp_path / "partial.bin")
 
 
+def test_train_state_load_reads_the_file_once(tiny_setup, tmp_path, monkeypatch):
+    result, cfg = tiny_setup
+    out = tmp_path / "state"
+    state = train(result.train, result.lexicon, cfg, out)
+    reads = []
+    load_tensors = dm.load_tensors
+    monkeypatch.setattr(dm, "load_tensors", lambda path: reads.append(path) or load_tensors(path))
+    loaded = TrainState.load(out / "train_state.bin")
+    assert reads == [out / "train_state.bin"]
+    for (_, p), (_, q) in zip(state.model.named_parameters(), loaded.model.named_parameters()):
+        np.testing.assert_array_equal(p.data, q.data)
+
+
 def test_training_graphs_leave_no_cyclic_garbage(tiny_setup):
     result, cfg = tiny_setup
     vocab = build_vocabulary(caption_corpus(result.train), 1)

@@ -90,7 +90,8 @@ class Tensor:
             visited.add(id(node))
             stack.append((node, True))
             for p in node._parents:
-                if id(p) not in visited:
+                # leaves (parameters, inputs) have nothing to run
+                if p._backward is not None and id(p) not in visited:
                     stack.append((p, False))
         _accumulate(self, np.ones_like(self.data) if grad is None else grad)
         for node in reversed(topo):
@@ -414,31 +415,76 @@ def gather_rows(table: Tensor, idx) -> Tensor:
     return _node(data, (table,), make)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalization over the last axis with learned gain and bias."""
-    x, gain, bias = _as_tensor(x), _as_tensor(gain), _as_tensor(bias)
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
+def residual_layer_norm(x: Tensor, a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
+    """Normalization of the residual sum ``x + a`` over the last axis, with
+    learned gain and bias: the post-norm sublayer's ``layer_norm(add(x, a))``
+    as one graph node. ``a`` may broadcast against ``x``."""
+    x, a, gain, bias = _as_tensor(x), _as_tensor(a), _as_tensor(gain), _as_tensor(bias)
+    s = x.data + a.data
+    n = s.shape[-1]
+    # the arithmetic of np.mean and np.var, with x - mu computed once
+    centred = s - np.add.reduce(s, axis=-1, keepdims=True) / n
+    inv = 1.0 / np.sqrt(np.add.reduce(centred * centred, axis=-1, keepdims=True) / n + 1e-5)
+    xhat = centred * inv
     data = xhat * gain.data + bias.data
 
     def make(out):
         def bw():
             g = out.grad
             if gain.requires_grad:
-                _accumulate(gain, (g * xhat).reshape(-1, xhat.shape[-1]).sum(axis=0))
+                _accumulate(gain, (g * xhat).reshape(-1, n).sum(axis=0))
             if bias.requires_grad:
-                _accumulate(bias, g.reshape(-1, g.shape[-1]).sum(axis=0))
-            if x.requires_grad:
+                _accumulate(bias, g.reshape(-1, n).sum(axis=0))
+            if x.requires_grad or a.requires_grad:
                 dxhat = g * gain.data
-                m1 = dxhat.mean(axis=-1, keepdims=True)
-                m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-                _accumulate(x, inv * (dxhat - m1 - xhat * m2), own=True)
+                m1 = np.add.reduce(dxhat, axis=-1, keepdims=True) / n
+                m2 = np.add.reduce(dxhat * xhat, axis=-1, keepdims=True) / n
+                gs = inv * (dxhat - m1 - xhat * m2)
+                # in add's order, x then a; x adopts gs, which a reads before
+                # anything else adds into x.grad
+                if x.requires_grad:
+                    _accumulate(x, _unbroadcast(gs, x.data.shape), own=True)
+                if a.requires_grad:
+                    _accumulate(a, _unbroadcast(gs, a.data.shape))
 
         return bw
 
-    return _node(data, (x, gain, bias), make)
+    return _node(data, (x, a, gain, bias), make)
+
+
+def ffn(x: Tensor, ffn_in: "Linear", ffn_out: "Linear") -> Tensor:
+    """The position-wise feed-forward ``ffn_out(relu(ffn_in(x)))`` as one
+    graph node, over the flattened rows of x's last axis. Its products are
+    the chain's, in the chain's order."""
+    x = _as_tensor(x)
+    w1, b1, w2, b2 = ffn_in.w, ffn_in.b, ffn_out.w, ffn_out.b
+    rows = x.data if x.data.ndim == 2 else x.data.reshape(-1, x.data.shape[-1])
+    hidden = np.matmul(rows, w1.data) + b1.data
+    np.maximum(hidden, 0, out=hidden)
+    data = np.matmul(hidden, w2.data) + b2.data
+    if x.data.ndim != 2:
+        data = data.reshape(*x.data.shape[:-1], data.shape[-1])
+
+    def make(out):
+        def bw():
+            g = out.grad if out.grad.ndim == 2 else out.grad.reshape(-1, out.grad.shape[-1])
+            if b2.requires_grad:
+                _accumulate(b2, g.sum(axis=0), own=True)
+            gh = np.matmul(g, w2.data.swapaxes(-1, -2))
+            if w2.requires_grad:
+                _accumulate(w2, np.matmul(hidden.swapaxes(-1, -2), g), own=True)
+            gh *= hidden > 0
+            if b1.requires_grad:
+                _accumulate(b1, gh.sum(axis=0), own=True)
+            if x.requires_grad:
+                _accumulate(x, np.matmul(gh, w1.data.swapaxes(-1, -2)).reshape(x.data.shape),
+                            own=True)
+            if w1.requires_grad:
+                _accumulate(w1, np.matmul(rows.swapaxes(-1, -2), gh), own=True)
+
+        return bw
+
+    return _node(data, (x, w1, b1, w2, b2), make)
 
 
 def dropout(x: Tensor, p: float, rng: np.random.Generator, shape=None) -> Tensor:
@@ -455,26 +501,77 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator, shape=None) -> Tensor
 # -- softmax family ------------------------------------------------------
 
 
-def _masked_softmax(scores: np.ndarray, mask=None) -> np.ndarray:
-    """Softmax over the last axis; positions where ``mask`` is False get
-    probability exactly 0 (bit-exact), and so zero gradient.
+# Elements per in-place pass of the attention softmax: a block of 2^16 float32
+# (256 KB) stays in L2 through the passes that run over it, also where the
+# whole score tensor does not fit.
+_SOFTMAX_BLOCK = 1 << 16
 
-    ``mask`` is a boolean array matching the last axes of ``scores``
-    (broadcast over the leading ones). A row with no allowed key is an error
-    naming the row.
-    """
-    if mask is not None:
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape != scores.shape[-mask.ndim:]:
-            raise ValueError(f"mask shape {mask.shape} does not match scores {scores.shape}")
-        dead = ~mask.any(axis=-1)
-        if dead.any():
-            rows = np.argwhere(dead).reshape(-1, dead.ndim).tolist()
-            raise ValueError(f"fully masked softmax row(s): {rows}")
-        scores = np.where(mask, scores, -np.inf)
-    m = scores.max(axis=-1, keepdims=True)
-    e = np.exp(scores - m)  # exp(-inf) underflows to exactly 0
-    return e / e.sum(axis=-1, keepdims=True)
+# Score tensors of more than one block, and their gradients, are the largest
+# arrays here (925 KB per encoder layer on the acceptance suite). glibc hands
+# freed memory of that size back to the OS, and the next such array then
+# faults every page in afresh, so attention nodes take these buffers from
+# this free list and give them back once done with them.
+_spare = []
+_MAX_SPARE = 4
+
+
+def _take(shape, dtype) -> np.ndarray:
+    """An uninitialised C-contiguous array, from the free list when it is
+    larger than one softmax block and a spare buffer is large enough."""
+    n = math.prod(shape)
+    if n > _SOFTMAX_BLOCK:
+        for i, buf in enumerate(_spare):
+            if buf.dtype == dtype and buf.size >= n:
+                return _spare.pop(i)[:n].reshape(shape)
+    return np.empty(shape, dtype)
+
+
+def _give(arr: np.ndarray):
+    """Hand back a buffer from :func:`_take`. Nothing may use it afterwards.
+    The list keeps the most recently given buffers."""
+    base = arr if arr.base is None else arr.base
+    if base.size > _SOFTMAX_BLOCK:
+        _spare.append(base.reshape(-1))
+        del _spare[:-_MAX_SPARE]
+
+
+def _row_blocks(n_mat: int, nq: int, nk: int):
+    """Index pairs (matrices, query rows) that cover an (n_mat, nq, nk)
+    array in contiguous blocks of at most ``_SOFTMAX_BLOCK`` elements (one
+    row at least): whole matrices when one fits, else rows of one matrix.
+    The row index also selects the block's rows of an (nq, nk) mask."""
+    rows = max(1, _SOFTMAX_BLOCK // nk)
+    if rows >= nq:
+        per = rows // max(nq, 1)
+        return [(slice(m, m + per), slice(None)) for m in range(0, n_mat, per)]
+    return [(m, slice(r, r + rows)) for m in range(n_mat) for r in range(0, nq, rows)]
+
+
+def _check_mask(mask, scores_shape):
+    """The boolean (nq, nk) mask, after checking its shape against the
+    scores' last two axes and that every row allows a key; a fully masked
+    row is an error naming the row."""
+    mask = np.asarray(mask, dtype=bool)
+    if mask.shape != scores_shape[-2:]:
+        raise ValueError(f"mask shape {mask.shape} does not match scores {scores_shape}")
+    dead = ~mask.any(axis=-1)
+    if dead.any():
+        rows = np.argwhere(dead).reshape(-1, dead.ndim).tolist()
+        raise ValueError(f"fully masked softmax row(s): {rows}")
+    return mask
+
+
+def _softmax_in_place(scores: np.ndarray, blocks, hide=None):
+    """Softmax over the last axis of the (n_mat, nq, nk) ``scores``, in
+    place, one block at a time. Positions where ``hide`` is True get
+    probability exactly 0 (bit-exact), and so zero gradient."""
+    for mats, rows in blocks:
+        blk = scores[mats, rows]
+        if hide is not None:
+            np.copyto(blk, -np.inf, where=hide[rows])
+        blk -= blk.max(axis=-1, keepdims=True)
+        np.exp(blk, out=blk)  # exp(-inf) underflows to exactly 0
+        blk /= blk.sum(axis=-1, keepdims=True)
 
 
 def log_softmax(x: Tensor) -> Tensor:
@@ -540,7 +637,12 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, mask=Non
     qh = (q.data * scale).reshape(*lead, nq, n_heads, dh).transpose(split)
     kh = k.data.reshape(*lead, nk, n_heads, dh).transpose(split)
     vh = v.data.reshape(*lead, nk, n_heads, dh).transpose(split)
-    weights = _masked_softmax(np.matmul(qh, kh.swapaxes(-1, -2)), mask)  # (..., h, nq, nk)
+    hide = None if mask is None else ~_check_mask(mask, (*lead, n_heads, nq, nk))
+    # (..., h, nq, nk) scores, then weights
+    weights = np.matmul(qh, kh.swapaxes(-1, -2),
+                        out=_take((*lead, n_heads, nq, nk), np.result_type(qh, kh)))
+    blocks = _row_blocks(math.prod(lead) * n_heads, nq, nk)
+    _softmax_in_place(weights.reshape(-1, nq, nk), blocks, hide)
     data = np.matmul(weights, vh).transpose(split).reshape(*lead, nq, d)
     avg = Tensor(weights.sum(axis=b) * (1.0 / n_heads)) if need_weights else None
 
@@ -553,21 +655,32 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, mask=Non
             # projection's backward multiplies by it in that layout.
             g = out.grad.reshape(*lead, nq, n_heads, dh).transpose(split)
             if q.requires_grad or k.requires_grad:
-                gw = np.matmul(g, vh.swapaxes(-1, -2))
-                gs = weights * (gw - (gw * weights).sum(axis=-1, keepdims=True))
+                # gs = w * (gw - rowsum(gw * w)), in place on gw, in row blocks
+                gs = np.matmul(g, vh.swapaxes(-1, -2),
+                               out=_take(weights.shape, np.result_type(g, vh)))
+                gs3, w3 = gs.reshape(-1, nq, nk), weights.reshape(-1, nq, nk)
+                for mats, rows in blocks:
+                    gb, wb = gs3[mats, rows], w3[mats, rows]
+                    gb -= (gb * wb).sum(axis=-1, keepdims=True)
+                    gb *= wb
                 if q.requires_grad:
                     gq = np.matmul(gs, kh).transpose(split).reshape(q.data.shape) * scale
                     _accumulate(q, gq, own=True)
                 if k.requires_grad:
                     gk = np.matmul(qh.swapaxes(-1, -2), gs).swapaxes(-1, -2)
                     _accumulate(k, gk.transpose(split).reshape(k.data.shape), own=True)
+                _give(gs)
             if v.requires_grad:
                 gv = np.matmul(weights.swapaxes(-1, -2), g).transpose(split)
                 _accumulate(v, gv.reshape(v.data.shape), own=True)
+            _give(weights)
 
         return bw
 
-    return _node(data, (q, k, v), make), avg
+    out = _node(data, (q, k, v), make)
+    if out._backward is None:  # no graph holds the weights
+        _give(weights)
+    return out, avg
 
 
 # -- parameter blocks ----------------------------------------------------
@@ -626,12 +739,11 @@ class Embedding:
 
 
 class LayerNorm:
+    """The gain and bias of one layer norm (see :func:`residual_layer_norm`)."""
+
     def __init__(self, d: int):
         self.gain = Tensor(np.ones(d, dtype=np.float32), requires_grad=True)
         self.bias = Tensor(np.zeros(d, dtype=np.float32), requires_grad=True)
-
-    def __call__(self, x: Tensor) -> Tensor:
-        return layer_norm(x, self.gain, self.bias)
 
     def named_parameters(self, prefix: str):
         yield f"{prefix}.gain", self.gain
@@ -729,14 +841,14 @@ class TransformerLayer:
     def _sublayers(self, x, a, drop, memory=None, cross_mask=None, cross_out=None):
         """Everything after self-attention (output ``a``): residuals, norms,
         the cross sublayer and the FFN."""
-        x = self.ln1(add(x, drop(a)))
+        x = residual_layer_norm(x, drop(a), self.ln1.gain, self.ln1.bias)
         cross_weights = None
         if memory is not None:
             cross_out, cross_weights = self.cross_attn(x, memory, cross_mask)
         if cross_out is not None:
-            x = self.ln_cross(add(x, drop(cross_out)))
-        f = self.ffn_out(relu(self.ffn_in(x)))
-        return self.ln2(add(x, drop(f))), cross_weights
+            x = residual_layer_norm(x, drop(cross_out), self.ln_cross.gain, self.ln_cross.bias)
+        f = ffn(x, self.ffn_in, self.ffn_out)
+        return residual_layer_norm(x, drop(f), self.ln2.gain, self.ln2.bias), cross_weights
 
     def named_parameters(self, prefix: str):
         yield from self.self_attn.named_parameters(f"{prefix}.self_attn")

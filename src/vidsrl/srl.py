@@ -405,12 +405,18 @@ def records_to_json(records: list[PredictionRecord], include_alpha: bool = False
     return {"video_id": records[0].video_id, "events": events}
 
 
+def _role_id(name) -> int:
+    if not isinstance(name, str) or name not in ROLE_IDS:
+        raise DatasetError(f"unknown role {name!r}; expected one of {', '.join(ROLES)}")
+    return ROLE_IDS[name]
+
+
 def records_from_json(doc: dict) -> list[PredictionRecord]:
     out = []
     for ev in doc["events"]:
         roles = [
             RolePrediction(
-                role=ROLE_IDS[r["role"]],
+                role=_role_id(r["role"]),
                 caption=normalize_caption(r["caption"]),
                 grounding=GroundingPrediction(
                     slot=-1,
@@ -438,8 +444,9 @@ def write_predictions(path, per_video: list[list[PredictionRecord]], include_alp
 
 
 def read_predictions(path) -> list[list[PredictionRecord]]:
-    """Inverse of :func:`write_predictions`; a line that is not JSON or lacks
-    a key raises DatasetError naming the path and line number."""
+    """Inverse of :func:`write_predictions`; a line that is not JSON, lacks
+    a key or names an unknown role raises DatasetError naming the path and
+    line number."""
     out = []
     with open(path) as f:
         for line_no, line in enumerate(f, 1):
@@ -452,4 +459,6 @@ def read_predictions(path) -> list[list[PredictionRecord]]:
                 raise DatasetError(f"{path}:{line_no}: malformed JSON: {e}") from e
             except KeyError as e:
                 raise DatasetError(f"{path}:{line_no}: prediction record lacks {e}") from e
+            except DatasetError as e:
+                raise DatasetError(f"{path}:{line_no}: {e}") from e
     return out

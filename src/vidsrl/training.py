@@ -290,10 +290,12 @@ class Adam:
         for name, p in self.named_params:
             if p.grad is None:
                 continue
-            g = p.grad
-            self.m[name] = self.beta1 * self.m[name] + (1 - self.beta1) * g
-            self.v[name] = self.beta2 * self.v[name] + (1 - self.beta2) * (g * g)
-            p.data -= self.lr * (self.m[name] / b1c) / (np.sqrt(self.v[name] / b2c) + self.eps)
+            g, m, v = p.grad, self.m[name], self.v[name]
+            m *= self.beta1
+            m += (1 - self.beta1) * g
+            v *= self.beta2
+            v += (1 - self.beta2) * (g * g)
+            p.data -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
 
     def zero_grad(self):
         for _, p in self.named_params:

@@ -298,3 +298,13 @@ def test_ground_reports_prediction_line_without_roles(predictions, tmp_path, cap
     assert main(["ground", "--predictions", str(path), "--out", str(tmp_path / "g.csv")]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}:2: prediction record lacks 'roles'")
+
+
+def test_ground_reports_unknown_role(predictions, tmp_path, capsys):
+    doc = json.loads(predictions[1])
+    doc["events"][-1]["roles"][0]["role"] = "Arg9"
+    path = tmp_path / "preds.jsonl"
+    path.write_text(predictions[0] + "\n" + json.dumps(doc) + "\n")
+    assert main(["ground", "--predictions", str(path), "--out", str(tmp_path / "g.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}:2: unknown role 'Arg9'; expected one of Arg0, ")

@@ -170,11 +170,12 @@ def test_grad_concat_and_gather():
 
 
 def test_grad_layer_norm():
+    # the oracle that the fused residual + layer norm node is held to
     g = rng(8)
     x = dm.Tensor(f64(g.normal(size=(3, 6))), requires_grad=True)
     gain = dm.Tensor(f64(g.normal(size=6)), requires_grad=True)
     bias = dm.Tensor(f64(g.normal(size=6)), requires_grad=True)
-    err = dm.gradient_check(lambda: weighted_sum(dm.layer_norm(x, gain, bias)),
+    err = dm.gradient_check(lambda: weighted_sum(oracle_layer_norm(x, gain, bias)),
                             [x, gain, bias], eps=1e-5, samples=30)
     assert err < 1e-6
 
@@ -333,9 +334,10 @@ def test_feature_behind_masked_edge_has_exactly_zero_gradient():
 
 # -- fused nodes against the per-op chains they replace ------------------------------
 #
-# ``unfused_attention`` and ``unfused_linear`` are the per-op graphs that
-# ``multi_head_attention`` and ``Linear`` built before each became one node,
-# kept here as oracles together with the two ops only they used.
+# ``unfused_attention``, ``unfused_linear``, ``unfused_residual_layer_norm``
+# and ``unfused_ffn`` are the per-op graphs that ``multi_head_attention``,
+# ``Linear``, ``residual_layer_norm`` and ``ffn`` built before each became one
+# node, kept here as oracles together with the ops only they used.
 
 
 def oracle_transpose(x, axes):
@@ -383,6 +385,39 @@ def unfused_attention(q, k, v, n_heads, mask=None):
     return out, dm.tensor_mean(weights, axis=b)
 
 
+def oracle_layer_norm(x, gain, bias, eps=1e-5):
+    mu = x.data.mean(axis=-1, keepdims=True)
+    var = x.data.var(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = (x.data - mu) * inv
+    data = xhat * gain.data + bias.data
+
+    def make(out):
+        def bw():
+            g = out.grad
+            if gain.requires_grad:
+                dm._accumulate(gain, (g * xhat).reshape(-1, xhat.shape[-1]).sum(axis=0))
+            if bias.requires_grad:
+                dm._accumulate(bias, g.reshape(-1, g.shape[-1]).sum(axis=0))
+            if x.requires_grad:
+                dxhat = g * gain.data
+                m1 = dxhat.mean(axis=-1, keepdims=True)
+                m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
+                dm._accumulate(x, inv * (dxhat - m1 - xhat * m2), own=True)
+
+        return bw
+
+    return dm._node(data, (x, gain, bias), make)
+
+
+def unfused_residual_layer_norm(x, a, gain, bias):
+    return oracle_layer_norm(dm.add(x, a), gain, bias)
+
+
+def unfused_ffn(x, ffn_in, ffn_out):
+    return ffn_out(dm.relu(ffn_in(x)))
+
+
 def unfused_linear(lin, x):
     if x.data.ndim <= 2:
         return dm.add(dm.matmul(x, lin.w), lin.b)
@@ -417,6 +452,74 @@ def test_fused_attention_equals_unfused_chain(lead, masked, shared):
     for a, b in zip(fused, oracle):
         assert a.dtype == b.dtype
         np.testing.assert_array_equal(a, b)
+
+
+# block sizes that split the scores into row blocks of 3 rows (7 = 3 + 3 + 1
+# query rows) or into blocks of 5 whole score matrices (12 = 5 + 5 + 2)
+SMALL_BLOCKS = {"rows": lambda nq, nk: 3 * nk, "matrices": lambda nq, nk: 5 * nq * nk}
+
+
+@pytest.mark.parametrize("blocks", SMALL_BLOCKS)
+@pytest.mark.parametrize("shared", [False, True], ids=["qkv", "one-tensor"])
+@pytest.mark.parametrize("masked", [False, True], ids=["nomask", "mask"])
+@pytest.mark.parametrize("lead", [(), (3,)], ids=["2d", "batched"])
+def test_blocked_attention_equals_unfused_chain(lead, masked, shared, blocks, monkeypatch):
+    g = rng(59)
+    nq, nk, d = (7, 7, 16) if shared else (7, 9, 16)
+    monkeypatch.setattr(dm, "_SOFTMAX_BLOCK", SMALL_BLOCKS[blocks](nq, nk))
+    n_mat = math.prod(lead) * 4
+    n_blocks = {"rows": 3 * n_mat, "matrices": -(-n_mat // 5)}[blocks]
+    assert len(dm._row_blocks(n_mat, nq, nk)) == n_blocks
+    shapes = [(*lead, nq, d)] if shared else [(*lead, nq, d), (*lead, nk, d), (*lead, nk, d)]
+    inputs = [g.normal(size=s).astype(np.float32) for s in shapes]
+    mask = None
+    if masked:
+        mask = g.random((nq, nk)) > 0.4
+        mask[np.arange(nq), g.integers(0, nk, nq)] = True
+    upstream = g.normal(size=(*lead, nq, d)).astype(np.float32)
+    blocked = run_attention(dm.multi_head_attention, inputs, shared, mask, upstream)
+    oracle = run_attention(unfused_attention, inputs, shared, mask, upstream)
+    for a, b in zip(blocked, oracle):
+        assert a.dtype == b.dtype
+        np.testing.assert_array_equal(a, b)
+
+
+def test_recycled_score_buffers_leave_interleaved_graphs_intact(monkeypatch):
+    # score tensors of more than one block come from the free list and go
+    # back to it; graphs alive at the same time must never share one
+    monkeypatch.setattr(dm, "_SOFTMAX_BLOCK", 64)
+    monkeypatch.setattr(dm, "_spare", [])
+    g = rng(68)
+    inputs = [[g.normal(size=(2, 9, 8)).astype(np.float32) for _ in range(3)] for _ in range(3)]
+    upstream = g.normal(size=(2, 9, 8)).astype(np.float32)
+    expected = [run_attention(unfused_attention, arrays, False, None, upstream)
+                for arrays in inputs]
+
+    def build(arrays):
+        leaves = [dm.Tensor(a.copy(), requires_grad=True) for a in arrays]
+        out, w = dm.multi_head_attention(*leaves, 4)
+        with dm.no_grad():  # takes a buffer and gives it straight back
+            dm.multi_head_attention(*[dm.Tensor(a) for a in inputs[0]], 4)
+        return leaves, out, w
+
+    for _ in range(2):  # the second round runs on given-back buffers
+        graphs = [build(arrays) for arrays in inputs]
+        for leaves, out, w in reversed(graphs):
+            dm.tensor_sum(dm.mul(out, upstream)).backward()
+        for (leaves, out, w), want in zip(graphs, expected):
+            for a, b in zip([out.data, w.data] + [t.grad for t in leaves], want):
+                np.testing.assert_array_equal(a, b)
+    assert 0 < len(dm._spare) <= dm._MAX_SPARE
+
+
+def test_fully_masked_row_past_the_first_block_is_named_by_its_row(monkeypatch):
+    monkeypatch.setattr(dm, "_SOFTMAX_BLOCK", 2 * 4)  # blocks of 2 query rows
+    mask = np.ones((7, 4), dtype=bool)
+    mask[5] = False
+    q = dm.Tensor(rng(60).normal(size=(2, 7, 8)).astype(np.float32))
+    kv = dm.Tensor(rng(61).normal(size=(2, 4, 8)).astype(np.float32))
+    with pytest.raises(ValueError, match=r"fully masked softmax row\(s\): \[\[5\]\]$"):
+        dm.multi_head_attention(q, kv, kv, 2, mask)
 
 
 @pytest.mark.parametrize("shape", [(7, 12), (3, 5, 12), (2, 3, 4, 12)])
@@ -466,6 +569,113 @@ def test_fused_attention_block_gradients_equal_unfused_chain(lead):
         np.testing.assert_array_equal(a, b)
 
 
+def leaves_of(*arrays):
+    return [dm.Tensor(a.copy(), requires_grad=True) for a in arrays]
+
+
+# (x shape, residual shape): rows, batched rows, and the captioner's cross
+# term shared by every position of a sequence
+RESIDUAL_SHAPES = {"2d": ((7, 16), (7, 16)), "3d": ((3, 5, 16), (3, 5, 16)),
+                   "broadcast": ((3, 5, 16), (3, 1, 16))}
+
+
+@pytest.mark.parametrize("dropout_p", [0.0, 0.3], ids=["nodrop", "dropout"])
+@pytest.mark.parametrize("shapes", RESIDUAL_SHAPES)
+def test_fused_residual_layer_norm_equals_unfused_chain(shapes, dropout_p):
+    g = rng(62)
+    x_shape, a_shape = RESIDUAL_SHAPES[shapes]
+    arrays = [g.normal(size=x_shape), g.normal(size=a_shape), 1 + 0.1 * g.normal(size=16),
+              0.1 * g.normal(size=16)]
+    arrays = [a.astype(np.float32) for a in arrays]
+    upstream = g.normal(size=x_shape).astype(np.float32)
+    results = []
+    for fn in (dm.residual_layer_norm, unfused_residual_layer_norm):
+        x, a, gain, bias = leaves = leaves_of(*arrays)
+        out = fn(x, dm.dropout(a, dropout_p, rng(63), x_shape), gain, bias)
+        dm.tensor_sum(dm.mul(out, upstream)).backward()
+        results.append([out.data] + [t.grad for t in leaves])
+    for a, b in zip(*results):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("shape", [(7, 16), (3, 5, 16)], ids=["2d", "3d"])
+def test_fused_ffn_equals_unfused_chain(shape):
+    g = rng(64)
+    ffn_in, ffn_out = dm.Linear(16, 64, g), dm.Linear(64, 16, g)
+    params = [ffn_in.w, ffn_in.b, ffn_out.w, ffn_out.b]
+    data = g.normal(size=shape).astype(np.float32)
+    upstream = g.normal(size=shape).astype(np.float32)
+    results = []
+    for fn in (dm.ffn, unfused_ffn):
+        for p in params:
+            p.grad = None
+        x = dm.Tensor(data.copy(), requires_grad=True)
+        out = fn(x, ffn_in, ffn_out)
+        dm.tensor_sum(dm.mul(out, upstream)).backward()
+        results.append([out.data, x.grad] + [p.grad for p in params])
+    assert np.any(results[0][1] != 0) and np.any(results[0][0] != 0)
+    for a, b in zip(*results):
+        np.testing.assert_array_equal(a, b)
+
+
+def unfused_sublayers(layer, x, a, drop, memory=None, cross_mask=None, cross_out=None):
+    """``TransformerLayer._sublayers`` as the per-op chain."""
+    x = unfused_residual_layer_norm(x, drop(a), layer.ln1.gain, layer.ln1.bias)
+    if memory is not None:
+        cross_out, _ = layer.cross_attn(x, memory, cross_mask)
+    if cross_out is not None:
+        x = unfused_residual_layer_norm(x, drop(cross_out), layer.ln_cross.gain,
+                                        layer.ln_cross.bias)
+    f = unfused_ffn(x, layer.ffn_in, layer.ffn_out)
+    return unfused_residual_layer_norm(x, drop(f), layer.ln2.gain, layer.ln2.bias), None
+
+
+@pytest.mark.parametrize("dropout_p", [0.0, 0.2], ids=["nodrop", "dropout"])
+@pytest.mark.parametrize("kind", ["encoder", "cross", "cross-out"])
+def test_fused_layer_gradients_equal_unfused_chain(kind, dropout_p, monkeypatch):
+    # the role decoder's layer (cross) and the captioner's (cross-out, whose
+    # (n, 1, d) cross term broadcasts over every position), with dropout on
+    g = rng(65)
+    layer = dm.TransformerLayer(16, 4, g, cross=kind != "encoder")
+    params = [p for _, p in layer.named_parameters("l")]
+    x = g.normal(size=(3, 5, 16) if kind == "cross-out" else (6, 16)).astype(np.float32)
+    mem = g.normal(size=(9, 16)).astype(np.float32)
+    cross_mask = g.random((6, 9)) > 0.5
+    cross_mask[:, 0] = True
+    z = g.normal(size=(3, 1, 16)).astype(np.float32)
+    upstream = g.normal(size=x.shape).astype(np.float32)
+    results = []
+    for sublayers in (dm.TransformerLayer._sublayers, unfused_sublayers):
+        monkeypatch.setattr(dm.TransformerLayer, "_sublayers", sublayers)
+        for p in params:
+            p.grad = None
+        xt, mt, zt = leaves_of(x, mem, z)
+        kwargs = {"cross": dict(memory=mt, cross_mask=cross_mask),
+                  "cross-out": dict(cross_out=zt)}.get(kind, {})
+        out, _ = layer(xt, dropout_p=dropout_p, rng=rng(66), **kwargs)
+        dm.tensor_sum(dm.mul(out, upstream)).backward()
+        results.append([out.data, xt.grad, mt.grad, zt.grad] + [p.grad for p in params])
+    for a, b in zip(*results):
+        np.testing.assert_array_equal(a, b)
+
+
+def test_grad_fused_residual_layer_norm_and_ffn_float64():
+    g = rng(67)
+    x = dm.Tensor(g.normal(size=(2, 3, 6)), requires_grad=True)
+    a = dm.Tensor(g.normal(size=(2, 1, 6)), requires_grad=True)
+    gain = dm.Tensor(1 + 0.5 * g.normal(size=6), requires_grad=True)
+    bias = dm.Tensor(g.normal(size=6), requires_grad=True)
+    err = dm.gradient_check(lambda: weighted_sum(dm.residual_layer_norm(x, a, gain, bias)),
+                            [x, a, gain, bias], eps=1e-5, samples=40, float64=True)
+    assert err < 1e-6
+    ffn_in, ffn_out = dm.Linear(6, 12, g), dm.Linear(12, 6, g)
+    err = dm.gradient_check(lambda: weighted_sum(dm.ffn(x, ffn_in, ffn_out)),
+                            [x, ffn_in.w, ffn_in.b, ffn_out.w, ffn_out.b],
+                            eps=1e-5, samples=60, float64=True)
+    assert err < 1e-6
+
+
 @pytest.mark.parametrize("shared", [False, True], ids=["qkv", "one-tensor"])
 def test_grad_fused_attention_float64(shared):
     g = rng(52)
@@ -513,6 +723,14 @@ def test_backward_releases_the_graph():
     assert x.grad is not None and all(p.grad is not None for _, p in layer.named_parameters("l"))
 
 
+def test_backward_from_a_leaf_root():
+    w = dm.Tensor(np.arange(3, dtype=np.float32), requires_grad=True)
+    w.backward()
+    np.testing.assert_array_equal(w.grad, [1.0, 1.0, 1.0])
+    w.backward(np.array([2.0, 0.0, -1.0], dtype=np.float32))  # leaves stay usable
+    np.testing.assert_array_equal(w.grad, [3.0, 1.0, 0.0])
+
+
 def test_second_backward_raises():
     w = dm.Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
     hidden = dm.mul(w, 2.0)
@@ -544,10 +762,10 @@ def test_post_norm_layer_matches_straight_line_oracle():
     out, _ = layer(x)
     # same computation composed by hand from the primitives
     a, _ = layer.self_attn(x, x, None)
-    h = layer.ln1(dm.add(x, a))
+    h = oracle_layer_norm(dm.add(x, a), layer.ln1.gain, layer.ln1.bias)
     f = layer.ffn_out(dm.relu(layer.ffn_in(h)))
-    expected = layer.ln2(dm.add(h, f))
-    np.testing.assert_allclose(out.data, expected.data, atol=1e-6)
+    expected = oracle_layer_norm(dm.add(h, f), layer.ln2.gain, layer.ln2.bias)
+    np.testing.assert_array_equal(out.data, expected.data)
 
 
 def test_decoder_layer_requires_cross_mask():
@@ -631,9 +849,10 @@ def test_no_grad_nodes_are_plain_leaves():
     w = dm.Tensor(rng(40).normal(size=(3, 4)).astype(np.float32), requires_grad=True)
     x = dm.Tensor(rng(41).normal(size=(2, 3)).astype(np.float32))
     with dm.no_grad():
-        for out in (dm.matmul(x, w), dm.relu(w), dm.add(w, w), dm.layer_norm(
-                w, dm.Tensor(np.ones(4), requires_grad=True), dm.Tensor(np.zeros(4))),
-                dm.Linear(4, 2, rng(44))(w), dm.multi_head_attention(w, w, w, 2)[0]):
+        lin = dm.Linear(4, 4, rng(44))
+        for out in (dm.matmul(x, w), dm.relu(w), dm.add(w, w), dm.residual_layer_norm(
+                w, w, dm.Tensor(np.ones(4), requires_grad=True), dm.Tensor(np.zeros(4))),
+                lin(w), dm.ffn(w, lin, lin), dm.multi_head_attention(w, w, w, 2)[0]):
             assert out.requires_grad is False
             assert out._parents == () and out._backward is None
     assert dm.matmul(x, w).requires_grad

@@ -10,6 +10,8 @@ from vidsrl.encoder import (
 )
 from vidsrl.synth import SynthConfig, generate
 
+from test_diffmath import oracle_layer_norm
+
 
 def rng(seed=0):
     return np.random.default_rng(seed)
@@ -141,7 +143,8 @@ def test_single_layer_zero_ffn_matches_attention_oracle():
     tokens = dm.Tensor(rng(6).normal(size=(12, 16)).astype(np.float32))
     o_ctx, e_ctx = enc.encode(tokens)
     attn, _ = layer.self_attn(tokens, tokens, None)
-    expected = layer.ln2(layer.ln1(dm.add(tokens, attn))).data
+    h = oracle_layer_norm(dm.add(tokens, attn), layer.ln1.gain, layer.ln1.bias)
+    expected = oracle_layer_norm(h, layer.ln2.gain, layer.ln2.bias).data
     np.testing.assert_allclose(np.vstack([o_ctx.data, e_ctx.data]), expected, atol=1e-6)
 
 

@@ -9,8 +9,8 @@ import pytest
 
 from vidsrl import diffmath as dm
 from vidsrl.data_model import (
-    BOS, EOS, ROLE_IDS, DatasetError, build_frame_schedule, build_vocabulary, make_events,
-    roles_for_verb,
+    BOS, EOS, ROLE_IDS, ROLES, DatasetError, build_frame_schedule, build_vocabulary,
+    make_events, roles_for_verb,
 )
 from vidsrl.encoder import ModelConfig
 from vidsrl.srl import (
@@ -436,6 +436,18 @@ def test_read_predictions_names_line_without_key(model, synth_result, tmp_path, 
     del owners.get(key, doc["events"][0]["roles"][0])[key]
     path.write_text(lines[0] + "\n\n" + json.dumps(doc) + "\n")
     with pytest.raises(DatasetError, match=f"^{re.escape(str(path))}:3: .*lacks '{key}'$"):
+        read_predictions(path)
+
+
+def test_read_predictions_names_unknown_role(model, synth_result, tmp_path):
+    path = tmp_path / "preds.jsonl"
+    write_predictions(path, [model.predict_situation(s) for s in synth_result.train[:2]])
+    lines = path.read_text().splitlines()
+    doc = json.loads(lines[1])
+    doc["events"][0]["roles"][0]["role"] = "Arg9"
+    path.write_text(lines[0] + "\n" + json.dumps(doc) + "\n")
+    expected = f"{path}:2: unknown role 'Arg9'; expected one of {', '.join(ROLES)}"
+    with pytest.raises(DatasetError, match=f"^{re.escape(expected)}$"):
         read_predictions(path)
 
 

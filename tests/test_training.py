@@ -490,3 +490,20 @@ def test_adam_matches_reference_step():
     # first step: m_hat = g, v_hat = g^2 -> update = lr * g / (|g| + eps)
     np.testing.assert_allclose(p.data, [1.0 - 0.1 * (0.5 / (0.5 + 1e-8)),
                                         2.0 + 0.1 * (0.5 / (0.5 + 1e-8))], rtol=1e-6)
+
+
+def test_adam_in_place_moments_equal_the_out_of_place_update():
+    g = np.random.default_rng(3)
+    p = dm.Tensor(g.normal(size=(4, 3)).astype(np.float32), requires_grad=True)
+    opt = Adam([("p", p)], lr=0.01)
+    data, m, v = p.data.copy(), np.zeros_like(p.data), np.zeros_like(p.data)
+    for t in range(1, 6):
+        grad = g.normal(size=(4, 3)).astype(np.float32)
+        p.grad = grad
+        opt.step()
+        m = 0.9 * m + (1 - 0.9) * grad
+        v = 0.999 * v + (1 - 0.999) * (grad * grad)
+        data -= 0.01 * (m / (1 - 0.9 ** t)) / (np.sqrt(v / (1 - 0.999 ** t)) + 1e-8)
+        np.testing.assert_array_equal(opt.m["p"], m)
+        np.testing.assert_array_equal(opt.v["p"], v)
+        np.testing.assert_array_equal(p.data, data)

@@ -452,39 +452,51 @@ def residual_layer_norm(x: Tensor, a: Tensor, gain: Tensor, bias: Tensor) -> Ten
     return _node(data, (x, a, gain, bias), make)
 
 
+def _rows(a: np.ndarray) -> np.ndarray:
+    """``a`` as a 2-D array of its last axis' rows."""
+    return a if a.ndim == 2 else a.reshape(-1, a.shape[-1])
+
+
+def _affine(rows: np.ndarray, w: Tensor, b: Tensor) -> np.ndarray:
+    """``rows @ w + b`` as one 2-D product: the forward of :class:`Linear`."""
+    return np.matmul(rows, w.data) + b.data
+
+
+def _affine_backward(g: np.ndarray, rows: np.ndarray, w: Tensor, b: Tensor, need_rows=True):
+    """Backward of :func:`_affine` for the (2-D) output gradient ``g``:
+    accumulates into b, then w, and returns the rows' gradient (None unless
+    ``need_rows``)."""
+    if b.requires_grad:
+        _accumulate(b, g.sum(axis=0), own=True)
+    g_rows = np.matmul(g, w.data.swapaxes(-1, -2)) if need_rows else None
+    if w.requires_grad:
+        _accumulate(w, np.matmul(rows.swapaxes(-1, -2), g), own=True)
+    return g_rows
+
+
 def ffn(x: Tensor, ffn_in: "Linear", ffn_out: "Linear") -> Tensor:
     """The position-wise feed-forward ``ffn_out(relu(ffn_in(x)))`` as one
     graph node, over the flattened rows of x's last axis. Its products are
     the chain's, in the chain's order."""
     x = _as_tensor(x)
-    w1, b1, w2, b2 = ffn_in.w, ffn_in.b, ffn_out.w, ffn_out.b
-    rows = x.data if x.data.ndim == 2 else x.data.reshape(-1, x.data.shape[-1])
-    hidden = np.matmul(rows, w1.data) + b1.data
+    rows = _rows(x.data)
+    hidden = _affine(rows, ffn_in.w, ffn_in.b)
     np.maximum(hidden, 0, out=hidden)
-    data = np.matmul(hidden, w2.data) + b2.data
+    data = _affine(hidden, ffn_out.w, ffn_out.b)
     if x.data.ndim != 2:
         data = data.reshape(*x.data.shape[:-1], data.shape[-1])
 
     def make(out):
         def bw():
-            g = out.grad if out.grad.ndim == 2 else out.grad.reshape(-1, out.grad.shape[-1])
-            if b2.requires_grad:
-                _accumulate(b2, g.sum(axis=0), own=True)
-            gh = np.matmul(g, w2.data.swapaxes(-1, -2))
-            if w2.requires_grad:
-                _accumulate(w2, np.matmul(hidden.swapaxes(-1, -2), g), own=True)
+            gh = _affine_backward(_rows(out.grad), hidden, ffn_out.w, ffn_out.b)
             gh *= hidden > 0
-            if b1.requires_grad:
-                _accumulate(b1, gh.sum(axis=0), own=True)
-            if x.requires_grad:
-                _accumulate(x, np.matmul(gh, w1.data.swapaxes(-1, -2)).reshape(x.data.shape),
-                            own=True)
-            if w1.requires_grad:
-                _accumulate(w1, np.matmul(rows.swapaxes(-1, -2), gh), own=True)
+            gx = _affine_backward(gh, rows, ffn_in.w, ffn_in.b, x.requires_grad)
+            if gx is not None:
+                _accumulate(x, gx.reshape(x.data.shape), own=True)
 
         return bw
 
-    return _node(data, (x, w1, b1, w2, b2), make)
+    return _node(data, (x, ffn_in.w, ffn_in.b, ffn_out.w, ffn_out.b), make)
 
 
 def dropout(x: Tensor, p: float, rng: np.random.Generator, shape=None) -> Tensor:
@@ -501,25 +513,22 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator, shape=None) -> Tensor
 # -- softmax family ------------------------------------------------------
 
 
-# Elements per in-place pass of the attention softmax: a block of 2^16 float32
-# (256 KB) stays in L2 through the passes that run over it, also where the
-# whole score tensor does not fit.
-_SOFTMAX_BLOCK = 1 << 16
-
-# Score tensors of more than one block, and their gradients, are the largest
-# arrays here (925 KB per encoder layer on the acceptance suite). glibc hands
-# freed memory of that size back to the OS, and the next such array then
-# faults every page in afresh, so attention nodes take these buffers from
-# this free list and give them back once done with them.
+# Score tensors and their gradients are the largest arrays here (925 KB per
+# encoder layer on the acceptance suite). glibc hands freed memory of that
+# size back to the OS, and the next such array then faults every page in
+# afresh, so attention nodes take arrays of more than _SPARE_MIN_SIZE
+# elements from this free list and give them back once done with them.
+_SPARE_MIN_SIZE = 1 << 16
 _spare = []
 _MAX_SPARE = 4
 
 
 def _take(shape, dtype) -> np.ndarray:
-    """An uninitialised C-contiguous array, from the free list when it is
-    larger than one softmax block and a spare buffer is large enough."""
+    """An uninitialised C-contiguous array, from the free list when it has
+    more than ``_SPARE_MIN_SIZE`` elements and a spare buffer is large
+    enough."""
     n = math.prod(shape)
-    if n > _SOFTMAX_BLOCK:
+    if n > _SPARE_MIN_SIZE:
         for i, buf in enumerate(_spare):
             if buf.dtype == dtype and buf.size >= n:
                 return _spare.pop(i)[:n].reshape(shape)
@@ -530,21 +539,9 @@ def _give(arr: np.ndarray):
     """Hand back a buffer from :func:`_take`. Nothing may use it afterwards.
     The list keeps the most recently given buffers."""
     base = arr if arr.base is None else arr.base
-    if base.size > _SOFTMAX_BLOCK:
+    if base.size > _SPARE_MIN_SIZE:
         _spare.append(base.reshape(-1))
         del _spare[:-_MAX_SPARE]
-
-
-def _row_blocks(n_mat: int, nq: int, nk: int):
-    """Index pairs (matrices, query rows) that cover an (n_mat, nq, nk)
-    array in contiguous blocks of at most ``_SOFTMAX_BLOCK`` elements (one
-    row at least): whole matrices when one fits, else rows of one matrix.
-    The row index also selects the block's rows of an (nq, nk) mask."""
-    rows = max(1, _SOFTMAX_BLOCK // nk)
-    if rows >= nq:
-        per = rows // max(nq, 1)
-        return [(slice(m, m + per), slice(None)) for m in range(0, n_mat, per)]
-    return [(m, slice(r, r + rows)) for m in range(n_mat) for r in range(0, nq, rows)]
 
 
 def _check_mask(mask, scores_shape):
@@ -561,17 +558,15 @@ def _check_mask(mask, scores_shape):
     return mask
 
 
-def _softmax_in_place(scores: np.ndarray, blocks, hide=None):
-    """Softmax over the last axis of the (n_mat, nq, nk) ``scores``, in
-    place, one block at a time. Positions where ``hide`` is True get
-    probability exactly 0 (bit-exact), and so zero gradient."""
-    for mats, rows in blocks:
-        blk = scores[mats, rows]
-        if hide is not None:
-            np.copyto(blk, -np.inf, where=hide[rows])
-        blk -= blk.max(axis=-1, keepdims=True)
-        np.exp(blk, out=blk)  # exp(-inf) underflows to exactly 0
-        blk /= blk.sum(axis=-1, keepdims=True)
+def _softmax_in_place(scores: np.ndarray, hide=None):
+    """Softmax over the last axis of ``scores``, in place. Positions where
+    ``hide`` (broadcast against scores) is True get probability exactly 0
+    (bit-exact), and so zero gradient."""
+    if hide is not None:
+        np.copyto(scores, -np.inf, where=hide)
+    scores -= scores.max(axis=-1, keepdims=True)
+    np.exp(scores, out=scores)  # exp(-inf) underflows to exactly 0
+    scores /= scores.sum(axis=-1, keepdims=True)
 
 
 def log_softmax(x: Tensor) -> Tensor:
@@ -641,8 +636,7 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, mask=Non
     # (..., h, nq, nk) scores, then weights
     weights = np.matmul(qh, kh.swapaxes(-1, -2),
                         out=_take((*lead, n_heads, nq, nk), np.result_type(qh, kh)))
-    blocks = _row_blocks(math.prod(lead) * n_heads, nq, nk)
-    _softmax_in_place(weights.reshape(-1, nq, nk), blocks, hide)
+    _softmax_in_place(weights, hide)
     data = np.matmul(weights, vh).transpose(split).reshape(*lead, nq, d)
     avg = Tensor(weights.sum(axis=b) * (1.0 / n_heads)) if need_weights else None
 
@@ -655,14 +649,13 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, mask=Non
             # projection's backward multiplies by it in that layout.
             g = out.grad.reshape(*lead, nq, n_heads, dh).transpose(split)
             if q.requires_grad or k.requires_grad:
-                # gs = w * (gw - rowsum(gw * w)), in place on gw, in row blocks
+                # gs = w * (gw - rowsum(gw * w)), in place on gw
                 gs = np.matmul(g, vh.swapaxes(-1, -2),
                                out=_take(weights.shape, np.result_type(g, vh)))
-                gs3, w3 = gs.reshape(-1, nq, nk), weights.reshape(-1, nq, nk)
-                for mats, rows in blocks:
-                    gb, wb = gs3[mats, rows], w3[mats, rows]
-                    gb -= (gb * wb).sum(axis=-1, keepdims=True)
-                    gb *= wb
+                gw_w = np.multiply(gs, weights, out=_take(gs.shape, gs.dtype))
+                gs -= gw_w.sum(axis=-1, keepdims=True)
+                _give(gw_w)
+                gs *= weights
                 if q.requires_grad:
                     gq = np.matmul(gs, kh).transpose(split).reshape(q.data.shape) * scale
                     _accumulate(q, gq, own=True)
@@ -698,26 +691,21 @@ class Linear:
     def __call__(self, x: Tensor) -> Tensor:
         """Maps the last axis as one 2-D product over the flattened rows, as
         one graph node."""
-        x, w, b = _as_tensor(x), self.w, self.b
-        rows = x.data if x.data.ndim == 2 else x.data.reshape(-1, x.data.shape[-1])
-        data = np.matmul(rows, w.data) + b.data
+        x = _as_tensor(x)
+        rows = _rows(x.data)
+        data = _affine(rows, self.w, self.b)
         if x.data.ndim != 2:
             data = data.reshape(*x.data.shape[:-1], data.shape[-1])
 
         def make(out):
             def bw():
-                g = out.grad if out.grad.ndim == 2 else out.grad.reshape(-1, out.grad.shape[-1])
-                if b.requires_grad:
-                    _accumulate(b, g.sum(axis=0), own=True)
-                if x.requires_grad:
-                    gx = np.matmul(g, w.data.swapaxes(-1, -2)).reshape(x.data.shape)
-                    _accumulate(x, gx, own=True)
-                if w.requires_grad:
-                    _accumulate(w, np.matmul(rows.swapaxes(-1, -2), g), own=True)
+                gx = _affine_backward(_rows(out.grad), rows, self.w, self.b, x.requires_grad)
+                if gx is not None:
+                    _accumulate(x, gx.reshape(x.data.shape), own=True)
 
             return bw
 
-        return _node(data, (x, w, b), make)
+        return _node(data, (x, self.w, self.b), make)
 
     def named_parameters(self, prefix: str):
         yield f"{prefix}.w", self.w

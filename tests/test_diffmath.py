@@ -454,22 +454,16 @@ def test_fused_attention_equals_unfused_chain(lead, masked, shared):
         np.testing.assert_array_equal(a, b)
 
 
-# block sizes that split the scores into row blocks of 3 rows (7 = 3 + 3 + 1
-# query rows) or into blocks of 5 whole score matrices (12 = 5 + 5 + 2)
-SMALL_BLOCKS = {"rows": lambda nq, nk: 3 * nk, "matrices": lambda nq, nk: 5 * nq * nk}
-
-
-@pytest.mark.parametrize("blocks", SMALL_BLOCKS)
 @pytest.mark.parametrize("shared", [False, True], ids=["qkv", "one-tensor"])
 @pytest.mark.parametrize("masked", [False, True], ids=["nomask", "mask"])
 @pytest.mark.parametrize("lead", [(), (3,)], ids=["2d", "batched"])
-def test_blocked_attention_equals_unfused_chain(lead, masked, shared, blocks, monkeypatch):
+def test_attention_on_spare_buffers_equals_unfused_chain(lead, masked, shared, monkeypatch):
+    # every score-sized array comes from the free list, here primed with NaN
+    # garbage: the in-place softmax and gradient must overwrite all of it
+    monkeypatch.setattr(dm, "_SPARE_MIN_SIZE", 0)
+    monkeypatch.setattr(dm, "_spare", [np.full(4096, np.nan, np.float32) for _ in range(4)])
     g = rng(59)
     nq, nk, d = (7, 7, 16) if shared else (7, 9, 16)
-    monkeypatch.setattr(dm, "_SOFTMAX_BLOCK", SMALL_BLOCKS[blocks](nq, nk))
-    n_mat = math.prod(lead) * 4
-    n_blocks = {"rows": 3 * n_mat, "matrices": -(-n_mat // 5)}[blocks]
-    assert len(dm._row_blocks(n_mat, nq, nk)) == n_blocks
     shapes = [(*lead, nq, d)] if shared else [(*lead, nq, d), (*lead, nk, d), (*lead, nk, d)]
     inputs = [g.normal(size=s).astype(np.float32) for s in shapes]
     mask = None
@@ -477,17 +471,17 @@ def test_blocked_attention_equals_unfused_chain(lead, masked, shared, blocks, mo
         mask = g.random((nq, nk)) > 0.4
         mask[np.arange(nq), g.integers(0, nk, nq)] = True
     upstream = g.normal(size=(*lead, nq, d)).astype(np.float32)
-    blocked = run_attention(dm.multi_head_attention, inputs, shared, mask, upstream)
+    recycled = run_attention(dm.multi_head_attention, inputs, shared, mask, upstream)
     oracle = run_attention(unfused_attention, inputs, shared, mask, upstream)
-    for a, b in zip(blocked, oracle):
+    for a, b in zip(recycled, oracle):
         assert a.dtype == b.dtype
         np.testing.assert_array_equal(a, b)
 
 
 def test_recycled_score_buffers_leave_interleaved_graphs_intact(monkeypatch):
-    # score tensors of more than one block come from the free list and go
-    # back to it; graphs alive at the same time must never share one
-    monkeypatch.setattr(dm, "_SOFTMAX_BLOCK", 64)
+    # score-sized arrays come from the free list and go back to it; graphs
+    # alive at the same time must never share one
+    monkeypatch.setattr(dm, "_SPARE_MIN_SIZE", 64)
     monkeypatch.setattr(dm, "_spare", [])
     g = rng(68)
     inputs = [[g.normal(size=(2, 9, 8)).astype(np.float32) for _ in range(3)] for _ in range(3)]
@@ -512,8 +506,7 @@ def test_recycled_score_buffers_leave_interleaved_graphs_intact(monkeypatch):
     assert 0 < len(dm._spare) <= dm._MAX_SPARE
 
 
-def test_fully_masked_row_past_the_first_block_is_named_by_its_row(monkeypatch):
-    monkeypatch.setattr(dm, "_SOFTMAX_BLOCK", 2 * 4)  # blocks of 2 query rows
+def test_fully_masked_row_of_batched_attention_is_named_by_its_row():
     mask = np.ones((7, 4), dtype=bool)
     mask[5] = False
     q = dm.Tensor(rng(60).normal(size=(2, 7, 8)).astype(np.float32))

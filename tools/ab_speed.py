@@ -12,8 +12,9 @@ see the same machine state:
   ``configs/overfit_synth.cfg`` on the acceptance suite's 50 training
   videos, from a fresh model each time;
 - predict: one ``pred-pred`` pass of ``predict_situation`` over the suite's
-  20 held-out videos with one checkpoint, trained by A and read by each
-  side's own ``SituationModel.load``.
+  20 held-out videos with one checkpoint, trained by A for
+  ``PREDICT_EPOCHS`` epochs and read by each side's own
+  ``SituationModel.load``.
 
 Each side builds the suite with its own generator. Per side and workload it
 prints the median and quartiles (train in videos/s, predict in ms per
@@ -44,6 +45,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"  # before anything imports numpy
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PREDICT_EPOCHS = 10  # training epochs of the model that the predict passes use
 
 
 def import_side(checkout: str, name: str, tmp: str) -> dict:
@@ -102,8 +104,6 @@ def main(argv=None):
     parser.add_argument("a", help="checkout A (for example a clone of the parent commit)")
     parser.add_argument("b", nargs="?", default=ROOT, help="checkout B (default: this one)")
     parser.add_argument("--pairs", type=int, default=10, help="alternating pairs per workload")
-    parser.add_argument("--predict-epochs", type=int, default=10,
-                        help="epochs of the model that the predict passes use")
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp:
         sys.path.insert(0, tmp)
@@ -114,7 +114,7 @@ def main(argv=None):
         ckpt_dir = os.path.join(tmp, "predict_model")
         a = sides[0]
         a.training.train(a.data.train, a.data.lexicon,
-                         replace(a.cfg, epochs=args.predict_epochs), ckpt_dir)
+                         replace(a.cfg, epochs=PREDICT_EPOCHS), ckpt_dir)
         for side in sides:
             side.model = side.srl.SituationModel.load(os.path.join(ckpt_dir, "checkpoint_last.bin"))
             side.train_epoch()  # warm-up, not counted

@@ -17,7 +17,7 @@ import time
 import numpy as np
 
 from .data_model import (
-    ROLES, DatasetError, load_dataset_dir, validate_sample,
+    ROLES, DatasetError, dataset_errors, load_dataset_dir,
 )
 from .diffmath import CheckpointError
 from .metrics import evaluate
@@ -119,9 +119,7 @@ def cmd_synth(args) -> int:
 
 def cmd_validate(args) -> int:
     samples, lexicon = load_dataset_dir(args.data, split=args.split, validate=False)
-    errors = []
-    for s in samples:
-        errors.extend(validate_sample(s, lexicon))
+    errors = dataset_errors(samples, lexicon)
     if errors:
         print(f"{len(errors)} problem(s) found:")
         for e in errors:

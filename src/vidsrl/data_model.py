@@ -153,12 +153,23 @@ class GroundingDict:
 
     @classmethod
     def from_dict(cls, d: dict) -> "GroundingDict":
+        """Inverse of :meth:`to_dict`; raises DatasetError naming a key that
+        is not ``event/role`` or names an unknown role, or a malformed entry."""
+        if not isinstance(d, dict):
+            raise DatasetError("is not a JSON object")
         entries = {}
         for key, frames in d.items():
-            event_s, role_s = key.split("/")
-            entries[(int(event_s), ROLE_IDS[role_s])] = {
-                int(t): tuple(float(x) for x in box) for t, box in frames.items()
-            }
+            event_s, sep, role_s = key.partition("/")
+            if not (sep and event_s.isdigit()):
+                raise DatasetError(f"key {key!r} is not 'event/role'")
+            if role_s not in ROLE_IDS:
+                raise DatasetError(f"key {key!r} names unknown role {role_s!r}")
+            try:
+                entries[(int(event_s), ROLE_IDS[role_s])] = {
+                    int(t): tuple(float(x) for x in box) for t, box in frames.items()
+                }
+            except (AttributeError, TypeError, ValueError) as e:
+                raise DatasetError(f"entry {key!r} is malformed: {e}") from e
         return cls(entries=entries)
 
 
@@ -307,9 +318,17 @@ def read_feature_file(path, context: str = "") -> np.ndarray:
             header = json.loads(header_line.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as e:
             raise DatasetError(f"{context}: bad feature header in {path}: {e}") from e
+        if not isinstance(header, dict):
+            raise DatasetError(f"{context}: feature header in {path} is not a JSON object")
         if header.get("dtype") != "f32le":
             raise DatasetError(f"{context}: unsupported dtype {header.get('dtype')!r} in {path}")
-        shape = tuple(int(x) for x in header["shape"])
+        try:
+            shape = tuple(int(x) for x in header["shape"])
+        except KeyError as e:
+            raise DatasetError(f"{context}: feature header in {path} lacks {e}") from e
+        except (TypeError, ValueError) as e:
+            raise DatasetError(f"{context}: feature header in {path} has a malformed "
+                               f"shape: {e}") from e
         payload = f.read()
     expected = int(np.prod(shape)) * 4
     if len(payload) != expected:
@@ -320,8 +339,18 @@ def read_feature_file(path, context: str = "") -> np.ndarray:
 
 
 def _annotation_from_dict(d: dict) -> SituationAnnotation:
+    """Inverse of :func:`annotation_to_dict`; raises DatasetError naming a
+    missing key or an unknown role."""
+    if not isinstance(d, dict) or not isinstance(d.get("events"), list):
+        raise DatasetError("lacks an 'events' list")
     events = []
-    for ev in d["events"]:
+    for i, ev in enumerate(d["events"]):
+        missing = [key for key in ("verbs", "roles") if not isinstance(ev, dict) or key not in ev]
+        if missing:
+            raise DatasetError(f"event {i} lacks {', '.join(map(repr, missing))}")
+        unknown = [name for name in ev["roles"] if name not in ROLE_IDS]
+        if unknown:
+            raise DatasetError(f"event {i} names unknown roles {unknown}")
         roles = {ROLE_IDS[name]: list(caps) for name, caps in ev["roles"].items()}
         events.append(EventAnnotation(verbs=list(ev["verbs"]), roles=roles))
     return SituationAnnotation(events=events)
@@ -378,10 +407,17 @@ def load_sample(record: dict, base_dir: str) -> VideoSample:
         raise DatasetError(f"{vid}: boxes in {boxes_path} have shape {boxes.shape}, "
                            f"the object features need {expected}")
 
-    annotation = _annotation_from_dict(record["annotation"])
+    try:
+        annotation = _annotation_from_dict(record["annotation"])
+    except DatasetError as e:
+        raise DatasetError(f"{vid}: manifest annotation {e}") from e
     if "grounding" in record and record["grounding"]:
-        with open(path_of("grounding")) as f:
-            annotation.grounding = GroundingDict.from_dict(json.load(f))
+        grounding_path = path_of("grounding")
+        try:
+            with open(grounding_path) as f:
+                annotation.grounding = GroundingDict.from_dict(json.load(f))
+        except (DatasetError, ValueError) as e:  # ValueError covers malformed JSON
+            raise DatasetError(f"{vid}: grounding file {grounding_path}: {e}") from e
 
     return VideoSample(
         id=vid, duration=duration, fps=fps, events=events, schedule=schedule,
@@ -392,10 +428,10 @@ def load_sample(record: dict, base_dir: str) -> VideoSample:
 
 def load_dataset(manifest_path, validate: bool = True,
                  lexicon: VerbLexicon | None = None) -> list[VideoSample]:
-    """Load a JSONL manifest into validated samples (one JSON object per line)."""
+    """Load a JSONL manifest into validated samples (one JSON object per line).
+    A record that cannot be read raises DatasetError naming its line."""
     base_dir = os.path.dirname(os.path.abspath(manifest_path))
     samples = []
-    errors = []
     with open(manifest_path) as f:
         for line_no, line in enumerate(f, 1):
             line = line.strip()
@@ -405,17 +441,25 @@ def load_dataset(manifest_path, validate: bool = True,
                 record = json.loads(line)
             except json.JSONDecodeError as e:
                 raise DatasetError(f"{manifest_path}:{line_no}: malformed JSON: {e}") from e
-            sample = load_sample(record, base_dir)
-            if validate:
-                errors.extend(validate_sample(sample, lexicon))
-            samples.append(sample)
+            try:
+                samples.append(load_sample(record, base_dir))
+            except DatasetError as e:
+                raise DatasetError(f"{manifest_path}:{line_no}: {e}") from e
     if validate:
-        dims = {(s.event_features.shape[1], s.object_features.shape[2]) for s in samples}
-        if len(dims) > 1:
-            errors.append(f"inconsistent feature dimensions across dataset: {sorted(dims)}")
+        errors = dataset_errors(samples, lexicon)
         if errors:
             raise DatasetError("dataset validation failed:\n  " + "\n  ".join(errors))
     return samples
+
+
+def dataset_errors(samples: list[VideoSample], lexicon: VerbLexicon | None = None) -> list[str]:
+    """Every problem of a loaded dataset: each video's (see
+    :func:`validate_sample`), then feature sizes that differ between videos."""
+    errors = [e for s in samples for e in validate_sample(s, lexicon)]
+    dims = {(s.event_features.shape[1], s.object_features.shape[2]) for s in samples}
+    if len(dims) > 1:
+        errors.append(f"inconsistent feature dimensions across dataset: {sorted(dims)}")
+    return errors
 
 
 def validate_sample(sample: VideoSample, lexicon: VerbLexicon | None = None) -> list[str]:

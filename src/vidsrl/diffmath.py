@@ -27,7 +27,7 @@ _grad_enabled = True
 @contextmanager
 def no_grad():
     """Record no graph inside the block: ops return leaf tensors with
-    ``requires_grad=False``, no parents and no backward closure. The
+    ``requires_grad=False``, no parents and no backward function. The
     previous mode is restored on exit, also after an exception."""
     global _grad_enabled
     previous = _grad_enabled
@@ -68,10 +68,9 @@ class Tensor:
     def backward(self, grad=None):
         """Accumulate d(self)/d(leaf) into every leaf's ``grad``.
 
-        Each node drops its backward closure and parents once it has run, so
-        the graph is freed by reference counting alone (the closure refers to
-        its own output, a cycle the collector would otherwise have to find).
-        A later backward() through a released node raises GraphReleasedError.
+        Each node drops its backward function and parents once it has run,
+        which frees the graph as the pass goes. A later backward() through a
+        released node raises GraphReleasedError.
         """
         if not self.requires_grad:
             raise ValueError("backward() on a tensor that does not require grad")
@@ -86,7 +85,7 @@ class Tensor:
             if id(node) in visited:
                 continue
             if node._backward is _released:
-                _released()
+                _released(node)
             visited.add(id(node))
             stack.append((node, True))
             for p in node._parents:
@@ -96,7 +95,7 @@ class Tensor:
         _accumulate(self, np.ones_like(self.data) if grad is None else grad)
         for node in reversed(topo):
             if node._backward is not None:
-                node._backward()
+                node._backward(node)
                 node._backward = _released
                 node._parents = ()
 
@@ -137,7 +136,7 @@ class GraphReleasedError(RuntimeError):
     """backward() through a graph that an earlier backward() already released."""
 
 
-def _released():
+def _released(out):
     raise GraphReleasedError("backward() through a graph an earlier backward() released; "
                              "run the forward pass again to build a new one")
 
@@ -174,13 +173,16 @@ def _unbroadcast(g, shape):
 
 
 def _node(data, parents, backward) -> Tensor:
+    """The output of an op on ``parents``. ``backward(out)`` adds out.grad
+    into the parents; it is handed its output rather than holding it, so a
+    graph has no reference cycle."""
     if not _grad_enabled:
         return Tensor(data)
     grad_parents = tuple(p for p in parents if p.requires_grad)
     out = Tensor(data, requires_grad=bool(grad_parents))
     if grad_parents:
         out._parents = grad_parents
-        out._backward = backward(out)
+        out._backward = backward
     return out
 
 
@@ -191,16 +193,13 @@ def add(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     data = a.data + b.data
 
-    def make(out):
-        def bw():
-            if a.requires_grad:
-                _accumulate(a, _unbroadcast(out.grad, a.data.shape))
-            if b.requires_grad:
-                _accumulate(b, _unbroadcast(out.grad, b.data.shape))
+    def bw(out):
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(out.grad, a.data.shape))
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(out.grad, b.data.shape))
 
-        return bw
-
-    return _node(data, (a, b), make)
+    return _node(data, (a, b), bw)
 
 
 def mul(a, b) -> Tensor:
@@ -211,27 +210,21 @@ def mul(a, b) -> Tensor:
         a = _as_tensor(a)
         data = a.data * c
 
-        def make_const(out):
-            def bw():
-                _accumulate(a, _unbroadcast(out.grad * c, a.data.shape))
+        def bw(out):
+            _accumulate(a, _unbroadcast(out.grad * c, a.data.shape))
 
-            return bw
-
-        return _node(data, (a,), make_const)
+        return _node(data, (a,), bw)
     if not isinstance(a, Tensor):
         return mul(b, a)
     data = a.data * b.data
 
-    def make(out):
-        def bw():
-            if a.requires_grad:
-                _accumulate(a, _unbroadcast(out.grad * b.data, a.data.shape))
-            if b.requires_grad:
-                _accumulate(b, _unbroadcast(out.grad * a.data, b.data.shape))
+    def bw(out):
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(out.grad * b.data, a.data.shape))
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(out.grad * a.data, b.data.shape))
 
-        return bw
-
-    return _node(data, (a, b), make)
+    return _node(data, (a, b), bw)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -240,68 +233,53 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ValueError(f"matmul rank mismatch: {a.data.shape} @ {b.data.shape}")
     data = np.matmul(a.data, b.data)
 
-    def make(out):
-        def bw():
-            if a.requires_grad:
-                _accumulate(a, np.matmul(out.grad, b.data.swapaxes(-1, -2)), own=True)
-            if b.requires_grad:
-                _accumulate(b, np.matmul(a.data.swapaxes(-1, -2), out.grad), own=True)
+    def bw(out):
+        if a.requires_grad:
+            _accumulate(a, np.matmul(out.grad, b.data.swapaxes(-1, -2)), own=True)
+        if b.requires_grad:
+            _accumulate(b, np.matmul(a.data.swapaxes(-1, -2), out.grad), own=True)
 
-        return bw
-
-    return _node(data, (a, b), make)
+    return _node(data, (a, b), bw)
 
 
 def relu(x: Tensor) -> Tensor:
     x = _as_tensor(x)
     data = np.maximum(x.data, 0)
 
-    def make(out):
-        def bw():
-            _accumulate(x, out.grad * (x.data > 0), own=True)
+    def bw(out):
+        _accumulate(x, out.grad * (x.data > 0), own=True)
 
-        return bw
-
-    return _node(data, (x,), make)
+    return _node(data, (x,), bw)
 
 
 def sigmoid(x: Tensor) -> Tensor:
     x = _as_tensor(x)
     data = 1.0 / (1.0 + np.exp(-x.data))
 
-    def make(out):
-        def bw():
-            _accumulate(x, out.grad * out.data * (1.0 - out.data), own=True)
+    def bw(out):
+        _accumulate(x, out.grad * out.data * (1.0 - out.data), own=True)
 
-        return bw
-
-    return _node(data, (x,), make)
+    return _node(data, (x,), bw)
 
 
 def exp(x: Tensor) -> Tensor:
     x = _as_tensor(x)
     data = np.exp(x.data)
 
-    def make(out):
-        def bw():
-            _accumulate(x, out.grad * out.data, own=True)
+    def bw(out):
+        _accumulate(x, out.grad * out.data, own=True)
 
-        return bw
-
-    return _node(data, (x,), make)
+    return _node(data, (x,), bw)
 
 
 def log(x: Tensor) -> Tensor:
     x = _as_tensor(x)
     data = np.log(x.data)
 
-    def make(out):
-        def bw():
-            _accumulate(x, out.grad / x.data)
+    def bw(out):
+        _accumulate(x, out.grad / x.data)
 
-        return bw
-
-    return _node(data, (x,), make)
+    return _node(data, (x,), bw)
 
 
 def power(x: Tensor, p: float) -> Tensor:
@@ -309,30 +287,24 @@ def power(x: Tensor, p: float) -> Tensor:
     x = _as_tensor(x)
     data = np.power(x.data, p)
 
-    def make(out):
-        def bw():
-            base = np.where(x.data == 0, 0.0, np.power(np.where(x.data == 0, 1.0, x.data), p - 1.0))
-            _accumulate(x, out.grad * p * base)
+    def bw(out):
+        base = np.where(x.data == 0, 0.0, np.power(np.where(x.data == 0, 1.0, x.data), p - 1.0))
+        _accumulate(x, out.grad * p * base)
 
-        return bw
-
-    return _node(data, (x,), make)
+    return _node(data, (x,), bw)
 
 
 def tensor_sum(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     x = _as_tensor(x)
     data = x.data.sum(axis=axis, keepdims=keepdims)
 
-    def make(out):
-        def bw():
-            g = out.grad
-            if axis is not None and not keepdims:
-                g = np.expand_dims(g, axis)
-            _accumulate(x, np.broadcast_to(g, x.data.shape).copy())
+    def bw(out):
+        g = out.grad
+        if axis is not None and not keepdims:
+            g = np.expand_dims(g, axis)
+        _accumulate(x, np.broadcast_to(g, x.data.shape).copy())
 
-        return bw
-
-    return _node(data, (x,), make)
+    return _node(data, (x,), bw)
 
 
 def tensor_mean(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
@@ -350,13 +322,10 @@ def reshape(x: Tensor, shape) -> Tensor:
     x = _as_tensor(x)
     data = x.data.reshape(shape)
 
-    def make(out):
-        def bw():
-            _accumulate(x, out.grad.reshape(x.data.shape))
+    def bw(out):
+        _accumulate(x, out.grad.reshape(x.data.shape))
 
-        return bw
-
-    return _node(data, (x,), make)
+    return _node(data, (x,), bw)
 
 
 def concat(tensors, axis: int = 0) -> Tensor:
@@ -364,19 +333,16 @@ def concat(tensors, axis: int = 0) -> Tensor:
     data = np.concatenate([t.data for t in tensors], axis=axis)
     sizes = [t.data.shape[axis] for t in tensors]
 
-    def make(out):
-        def bw():
-            offset = 0
-            for t, size in zip(tensors, sizes):
-                if t.requires_grad:
-                    sl = [slice(None)] * out.grad.ndim
-                    sl[axis] = slice(offset, offset + size)
-                    _accumulate(t, out.grad[tuple(sl)])
-                offset += size
+    def bw(out):
+        offset = 0
+        for t, size in zip(tensors, sizes):
+            if t.requires_grad:
+                sl = [slice(None)] * out.grad.ndim
+                sl[axis] = slice(offset, offset + size)
+                _accumulate(t, out.grad[tuple(sl)])
+            offset += size
 
-        return bw
-
-    return _node(data, tuple(tensors), make)
+    return _node(data, tuple(tensors), bw)
 
 
 def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
@@ -387,15 +353,12 @@ def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
     sl = tuple(sl)
     data = x.data[sl]
 
-    def make(out):
-        def bw():
-            if x.grad is None:
-                x.grad = np.zeros_like(x.data)
-            x.grad[sl] += out.grad
+    def bw(out):
+        if x.grad is None:
+            x.grad = np.zeros_like(x.data)
+        x.grad[sl] += out.grad
 
-        return bw
-
-    return _node(data, (x,), make)
+    return _node(data, (x,), bw)
 
 
 def gather_rows(table: Tensor, idx) -> Tensor:
@@ -404,15 +367,12 @@ def gather_rows(table: Tensor, idx) -> Tensor:
     idx = np.asarray(idx)
     data = table.data[idx]
 
-    def make(out):
-        def bw():
-            if table.grad is None:
-                table.grad = np.zeros_like(table.data)
-            np.add.at(table.grad, idx, out.grad)
+    def bw(out):
+        if table.grad is None:
+            table.grad = np.zeros_like(table.data)
+        np.add.at(table.grad, idx, out.grad)
 
-        return bw
-
-    return _node(data, (table,), make)
+    return _node(data, (table,), bw)
 
 
 def residual_layer_norm(x: Tensor, a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
@@ -428,28 +388,25 @@ def residual_layer_norm(x: Tensor, a: Tensor, gain: Tensor, bias: Tensor) -> Ten
     xhat = centred * inv
     data = xhat * gain.data + bias.data
 
-    def make(out):
-        def bw():
-            g = out.grad
-            if gain.requires_grad:
-                _accumulate(gain, (g * xhat).reshape(-1, n).sum(axis=0))
-            if bias.requires_grad:
-                _accumulate(bias, g.reshape(-1, n).sum(axis=0))
-            if x.requires_grad or a.requires_grad:
-                dxhat = g * gain.data
-                m1 = np.add.reduce(dxhat, axis=-1, keepdims=True) / n
-                m2 = np.add.reduce(dxhat * xhat, axis=-1, keepdims=True) / n
-                gs = inv * (dxhat - m1 - xhat * m2)
-                # in add's order, x then a; x adopts gs, which a reads before
-                # anything else adds into x.grad
-                if x.requires_grad:
-                    _accumulate(x, _unbroadcast(gs, x.data.shape), own=True)
-                if a.requires_grad:
-                    _accumulate(a, _unbroadcast(gs, a.data.shape))
+    def bw(out):
+        g = out.grad
+        if gain.requires_grad:
+            _accumulate(gain, (g * xhat).reshape(-1, n).sum(axis=0))
+        if bias.requires_grad:
+            _accumulate(bias, g.reshape(-1, n).sum(axis=0))
+        if x.requires_grad or a.requires_grad:
+            dxhat = g * gain.data
+            m1 = np.add.reduce(dxhat, axis=-1, keepdims=True) / n
+            m2 = np.add.reduce(dxhat * xhat, axis=-1, keepdims=True) / n
+            gs = inv * (dxhat - m1 - xhat * m2)
+            # in add's order, x then a; x adopts gs, which a reads before
+            # anything else adds into x.grad
+            if x.requires_grad:
+                _accumulate(x, _unbroadcast(gs, x.data.shape), own=True)
+            if a.requires_grad:
+                _accumulate(a, _unbroadcast(gs, a.data.shape))
 
-        return bw
-
-    return _node(data, (x, a, gain, bias), make)
+    return _node(data, (x, a, gain, bias), bw)
 
 
 def _rows(a: np.ndarray) -> np.ndarray:
@@ -486,17 +443,14 @@ def ffn(x: Tensor, ffn_in: "Linear", ffn_out: "Linear") -> Tensor:
     if x.data.ndim != 2:
         data = data.reshape(*x.data.shape[:-1], data.shape[-1])
 
-    def make(out):
-        def bw():
-            gh = _affine_backward(_rows(out.grad), hidden, ffn_out.w, ffn_out.b)
-            gh *= hidden > 0
-            gx = _affine_backward(gh, rows, ffn_in.w, ffn_in.b, x.requires_grad)
-            if gx is not None:
-                _accumulate(x, gx.reshape(x.data.shape), own=True)
+    def bw(out):
+        gh = _affine_backward(_rows(out.grad), hidden, ffn_out.w, ffn_out.b)
+        gh *= hidden > 0
+        gx = _affine_backward(gh, rows, ffn_in.w, ffn_in.b, x.requires_grad)
+        if gx is not None:
+            _accumulate(x, gx.reshape(x.data.shape), own=True)
 
-        return bw
-
-    return _node(data, (x, ffn_in.w, ffn_in.b, ffn_out.w, ffn_out.b), make)
+    return _node(data, (x, ffn_in.w, ffn_in.b, ffn_out.w, ffn_out.b), bw)
 
 
 def dropout(x: Tensor, p: float, rng: np.random.Generator, shape=None) -> Tensor:
@@ -576,14 +530,11 @@ def log_softmax(x: Tensor) -> Tensor:
     lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
     data = shifted - lse
 
-    def make(out):
-        def bw():
-            g = out.grad
-            _accumulate(x, g - np.exp(out.data) * g.sum(axis=-1, keepdims=True), own=True)
+    def bw(out):
+        g = out.grad
+        _accumulate(x, g - np.exp(out.data) * g.sum(axis=-1, keepdims=True), own=True)
 
-        return bw
-
-    return _node(data, (x,), make)
+    return _node(data, (x,), bw)
 
 
 def bce_with_logits(logits: Tensor, targets) -> Tensor:
@@ -593,14 +544,11 @@ def bce_with_logits(logits: Tensor, targets) -> Tensor:
     x = logits.data
     data = np.maximum(x, 0) - x * t + np.log1p(np.exp(-np.abs(x)))
 
-    def make(out):
-        def bw():
-            s = 1.0 / (1.0 + np.exp(-x))
-            _accumulate(logits, out.grad * (s - t), own=True)
+    def bw(out):
+        s = 1.0 / (1.0 + np.exp(-x))
+        _accumulate(logits, out.grad * (s - t), own=True)
 
-        return bw
-
-    return _node(data, (logits,), make)
+    return _node(data, (logits,), bw)
 
 
 # -- attention primitives ------------------------------------------------
@@ -640,37 +588,34 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, mask=Non
     data = np.matmul(weights, vh).transpose(split).reshape(*lead, nq, d)
     avg = Tensor(weights.sum(axis=b) * (1.0 / n_heads)) if need_weights else None
 
-    def make(out):
-        def bw():
-            # Every product keeps the operand order and memory layout of the
-            # per-op chain (scale, split, scores, softmax, weights @ V, merge)
-            # the tests hold as an oracle, so the gradients are bit-equal to
-            # the chain's. So dk is (qh^T @ gs)^T, not gs^T @ qh: the key
-            # projection's backward multiplies by it in that layout.
-            g = out.grad.reshape(*lead, nq, n_heads, dh).transpose(split)
-            if q.requires_grad or k.requires_grad:
-                # gs = w * (gw - rowsum(gw * w)), in place on gw
-                gs = np.matmul(g, vh.swapaxes(-1, -2),
-                               out=_take(weights.shape, np.result_type(g, vh)))
-                gw_w = np.multiply(gs, weights, out=_take(gs.shape, gs.dtype))
-                gs -= gw_w.sum(axis=-1, keepdims=True)
-                _give(gw_w)
-                gs *= weights
-                if q.requires_grad:
-                    gq = np.matmul(gs, kh).transpose(split).reshape(q.data.shape) * scale
-                    _accumulate(q, gq, own=True)
-                if k.requires_grad:
-                    gk = np.matmul(qh.swapaxes(-1, -2), gs).swapaxes(-1, -2)
-                    _accumulate(k, gk.transpose(split).reshape(k.data.shape), own=True)
-                _give(gs)
-            if v.requires_grad:
-                gv = np.matmul(weights.swapaxes(-1, -2), g).transpose(split)
-                _accumulate(v, gv.reshape(v.data.shape), own=True)
-            _give(weights)
+    def bw(out):
+        # Every product keeps the operand order and memory layout of the
+        # per-op chain (scale, split, scores, softmax, weights @ V, merge)
+        # the tests hold as an oracle, so the gradients are bit-equal to
+        # the chain's. So dk is (qh^T @ gs)^T, not gs^T @ qh: the key
+        # projection's backward multiplies by it in that layout.
+        g = out.grad.reshape(*lead, nq, n_heads, dh).transpose(split)
+        if q.requires_grad or k.requires_grad:
+            # gs = w * (gw - rowsum(gw * w)), in place on gw
+            gs = np.matmul(g, vh.swapaxes(-1, -2),
+                           out=_take(weights.shape, np.result_type(g, vh)))
+            gw_w = np.multiply(gs, weights, out=_take(gs.shape, gs.dtype))
+            gs -= gw_w.sum(axis=-1, keepdims=True)
+            _give(gw_w)
+            gs *= weights
+            if q.requires_grad:
+                gq = np.matmul(gs, kh).transpose(split).reshape(q.data.shape) * scale
+                _accumulate(q, gq, own=True)
+            if k.requires_grad:
+                gk = np.matmul(qh.swapaxes(-1, -2), gs).swapaxes(-1, -2)
+                _accumulate(k, gk.transpose(split).reshape(k.data.shape), own=True)
+            _give(gs)
+        if v.requires_grad:
+            gv = np.matmul(weights.swapaxes(-1, -2), g).transpose(split)
+            _accumulate(v, gv.reshape(v.data.shape), own=True)
+        _give(weights)
 
-        return bw
-
-    out = _node(data, (q, k, v), make)
+    out = _node(data, (q, k, v), bw)
     if out._backward is None:  # no graph holds the weights
         _give(weights)
     return out, avg
@@ -697,15 +642,12 @@ class Linear:
         if x.data.ndim != 2:
             data = data.reshape(*x.data.shape[:-1], data.shape[-1])
 
-        def make(out):
-            def bw():
-                gx = _affine_backward(_rows(out.grad), rows, self.w, self.b, x.requires_grad)
-                if gx is not None:
-                    _accumulate(x, gx.reshape(x.data.shape), own=True)
+        def bw(out):
+            gx = _affine_backward(_rows(out.grad), rows, self.w, self.b, x.requires_grad)
+            if gx is not None:
+                _accumulate(x, gx.reshape(x.data.shape), own=True)
 
-            return bw
-
-        return _node(data, (x, self.w, self.b), make)
+        return _node(data, (x, self.w, self.b), bw)
 
     def named_parameters(self, prefix: str):
         yield f"{prefix}.w", self.w

@@ -133,18 +133,19 @@ class VideoObjectEncoder:
 
     def predict_verbs(self, e_ctx: dm.Tensor) -> dm.Tensor:
         """Raw verb logits (n_events, n_verbs); argmax ties go to the lowest id."""
-        return self.verb_out(dm.relu(self.verb_in(e_ctx)))
+        return dm.ffn(e_ctx, self.verb_in, self.verb_out)
 
     def role_logits(self, e_ctx: dm.Tensor) -> dm.Tensor:
-        return self.role_out(dm.relu(self.role_in(e_ctx)))
+        return dm.ffn(e_ctx, self.role_in, self.role_out)
 
-    def predict_roles(self, e_ctx: dm.Tensor, theta_role: float | None = None):
-        """Sigmoid role probabilities and the thresholded per-event role sets.
+    def predict_roles(self, e_ctx: dm.Tensor):
+        """Sigmoid role probabilities and the per-event role sets thresholded
+        at ``cfg.theta_role``.
 
         The threshold is strict (probability must exceed theta), so an event
         may come back with an empty set; the caller decides any fallback.
         """
-        theta = self.cfg.theta_role if theta_role is None else theta_role
+        theta = self.cfg.theta_role
         if not (0.0 < theta < 1.0):
             raise ValueError(f"theta_role must be in (0, 1), got {theta}")
         probs = dm.sigmoid(self.role_logits(e_ctx))

@@ -44,15 +44,22 @@ class GroundingPrediction:
     score: float
 
 
+def role_query_index(role_sets) -> list[RoleQuery]:
+    """One query per (event, role), ordered by event, then role id: the
+    order of the role queries, the event mask's rows and the caption
+    targets' rows alike."""
+    return [RoleQuery(i, k) for i, roles in enumerate(role_sets) for k in sorted(roles)]
+
+
 def build_role_queries(role_sets: list[list[int]], event_context: dm.Tensor,
                        role_table: dm.Tensor, pe_table: dm.Tensor):
     """q = role embedding + per-event context vector + event positional embedding.
 
     ``event_context`` is normally the contextualised event embeddings e'; an
     ablation may pass any other (n_events, d) matrix such as learned verb
-    embeddings. Queries are ordered by (event, role id).
+    embeddings. Queries are in :func:`role_query_index` order.
     """
-    index = [RoleQuery(i, k) for i, roles in enumerate(role_sets) for k in sorted(roles)]
+    index = role_query_index(role_sets)
     if not index:
         raise ValueError("no role queries (all role sets empty)")
     for q in index:

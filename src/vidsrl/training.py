@@ -22,7 +22,9 @@ from .data_model import (
 )
 from .encoder import ArchConfig, ModelConfig, prepare_inputs
 from .metrics import evaluate
-from .srl import RoleQuery, SituationModel, build_event_mask, build_role_queries
+from .srl import (
+    RoleQuery, SituationModel, build_event_mask, build_role_queries, role_query_index,
+)
 
 VERB_LOSS_MODES = ("plain", "reweighted", "focal", "balanced-sampling")
 
@@ -52,6 +54,8 @@ class TrainConfig(ArchConfig):
                               f"got {self.verb_loss_mode!r}")
         if self.verb_loss_mode == "focal" and self.focal_gamma <= 0:
             raise ConfigError(f"focal_gamma must be > 0, got {self.focal_gamma}")
+        if not (0.0 < self.theta_role < 1.0):
+            raise ConfigError(f"theta_role must be in (0, 1), got {self.theta_role}")
 
 
 # Exact config file surface: every TrainConfig field, parsed by its declared type
@@ -185,32 +189,31 @@ def balanced_sample_weights(samples: list[VideoSample], n_verbs: int) -> np.ndar
 # -- teacher forcing ----------------------------------------------------------
 
 
-def caption_targets(sample: VideoSample, vocab: Vocabulary, max_len: int):
-    """(inputs, targets, role queries order) for all GT roles of a video.
+def caption_targets(sample: VideoSample, index: list[RoleQuery], vocab: Vocabulary,
+                    max_len: int):
+    """(inputs, targets) for the role queries ``index`` of a video, one row
+    per query: the query's first reference caption.
 
     Inputs are BOS + reference, targets are reference + EOS, both padded to
     the longest caption in the video. References longer than max_len are
     truncated with a warning.
     """
     rows_in, rows_tgt = [], []
-    order = []
-    for i, ev in enumerate(sample.annotation.events):
-        for role in sorted(ev.roles):
-            ids = vocab.encode(ev.roles[role][0])
-            if len(ids) > max_len:
-                warnings.warn(f"{sample.id}: caption for event {i} role {role} "
-                              f"truncated to {max_len} tokens")
-                ids = ids[:max_len]
-            rows_in.append([BOS] + ids)
-            rows_tgt.append(ids + [EOS])
-            order.append((i, role))
+    for q in index:
+        ids = vocab.encode(sample.annotation.events[q.event].roles[q.role][0])
+        if len(ids) > max_len:
+            warnings.warn(f"{sample.id}: caption for event {q.event} role {q.role} "
+                          f"truncated to {max_len} tokens")
+            ids = ids[:max_len]
+        rows_in.append([BOS] + ids)
+        rows_tgt.append(ids + [EOS])
     length = max(len(r) for r in rows_in)
     inputs = np.full((len(rows_in), length), PAD, dtype=np.int64)
     targets = np.full((len(rows_in), length), PAD, dtype=np.int64)
     for r, (ri, rt) in enumerate(zip(rows_in, rows_tgt)):
         inputs[r, : len(ri)] = ri
         targets[r, : len(rt)] = rt
-    return inputs, targets, order
+    return inputs, targets
 
 
 @dataclass
@@ -229,9 +232,9 @@ class CompiledSample:
 
 def compile_sample(sample: VideoSample, vocab: Vocabulary, cfg: ModelConfig) -> CompiledSample:
     role_sets = [sorted(ev.roles) for ev in sample.annotation.events]
-    index = [RoleQuery(i, k) for i, roles in enumerate(role_sets) for k in roles]
+    index = role_query_index(role_sets)
     mask = build_event_mask(index, sample.schedule, sample.n_slots)
-    cap_in, cap_tgt, _ = caption_targets(sample, vocab, cfg.max_caption_len)
+    cap_in, cap_tgt = caption_targets(sample, index, vocab, cfg.max_caption_len)
     return CompiledSample(
         sample=sample,
         inputs=prepare_inputs(sample, degrade_objects=cfg.degrade_objects),

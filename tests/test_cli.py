@@ -11,7 +11,7 @@ import pytest
 
 from vidsrl import diffmath as dm
 from vidsrl.cli import main
-from vidsrl.data_model import ROLE_IDS, load_dataset_dir, roles_for_verb
+from vidsrl.data_model import ROLE_IDS, load_dataset_dir, roles_for_verb, write_feature_file
 from vidsrl.srl import SituationModel, read_predictions
 
 
@@ -74,6 +74,16 @@ def test_unknown_config_key_rejected(workspace, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert "valid keys" in err and "batch_size" in err
+
+
+def test_train_rejects_bad_theta_role_before_training(workspace, tmp_path, capsys):
+    _, data, _ = workspace
+    out = tmp_path / "run"
+    code = main(["train", "--data", str(data), "--out", str(out)] + TRAIN_SET
+                + ["--set", "theta_role=1.5"])
+    assert code == 1
+    assert "error: theta_role must be in (0, 1), got 1.5" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_validate_flags_corruption(workspace, tmp_path, capsys):
@@ -241,6 +251,20 @@ def test_validate_reports_record_without_duration(workspace, tmp_path, capsys):
     assert main(["validate", "--data", str(broken)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and doc["id"] in err and "'duration'" in err
+
+
+def test_validate_reports_feature_size_that_differs_between_videos(workspace, tmp_path, capsys):
+    _, data, _ = workspace
+    import shutil
+    broken = tmp_path / "broken"
+    shutil.copytree(data, broken)
+    victim = json.loads((broken / "manifest_train.jsonl").read_text().splitlines()[2])["id"]
+    path = broken / "features" / f"{victim}.objects.bin"
+    features = np.frombuffer(path.read_bytes().split(b"\n", 1)[1], dtype="<f4")
+    write_feature_file(path, features.reshape(-1, 4, 12)[:, :, :6])
+    assert main(["validate", "--data", str(broken)]) == 1
+    out = capsys.readouterr().out
+    assert "inconsistent feature dimensions across dataset: [(12, 6), (12, 12)]" in out
 
 
 def test_validate_reports_lexicon_without_role_map(workspace, tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Domain types, schedules, vocabulary, dataset I/O."""
 
 import json
+import re
 import shutil
 
 import numpy as np
@@ -247,6 +248,79 @@ def test_malformed_boxes_file_names_video_and_file(small_dataset, tmp_path, edit
     path.write_text(json.dumps(doc))
     with pytest.raises(DatasetError, match=f"{victim}: .*{victim}.boxes.json"):
         load_dataset(broken / "manifest_train.jsonl")
+
+
+@pytest.mark.parametrize("header", [{"dtype": "f32le", "order": "row-major"},
+                                    ["f32le", [11, 5, 16]],
+                                    {"dtype": "f32le", "shape": ["eleven", 5, 16]}],
+                         ids=["no-shape", "not-an-object", "bad-shape"])
+def test_malformed_feature_header_names_video_and_file(small_dataset, tmp_path, header):
+    out, result = small_dataset
+    broken = tmp_path / "broken"
+    shutil.copytree(out, broken)
+    victim = result.train[2].id
+    feat = broken / "features" / f"{victim}.objects.bin"
+    payload = feat.read_bytes().split(b"\n", 1)[1]
+    feat.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+    with pytest.raises(DatasetError, match=f"{victim}: feature header in .*{victim}.objects.bin"):
+        load_dataset(broken / "manifest_train.jsonl")
+
+
+def _unknown_role(annotation):
+    annotation["events"][3]["roles"]["Arg9"] = ["a stray thing"]
+
+
+def _event_without(key):
+    return lambda annotation: annotation["events"][1].pop(key)
+
+
+@pytest.mark.parametrize("edit, named", [
+    (_unknown_role, r"event 3 names unknown roles \['Arg9'\]"),
+    (lambda annotation: annotation.pop("events"), "lacks an 'events' list"),
+    (_event_without("verbs"), "event 1 lacks 'verbs'"),
+    (_event_without("roles"), "event 1 lacks 'roles'"),
+], ids=["unknown-role", "no-events", "no-verbs", "no-roles"])
+def test_malformed_annotation_names_video_and_manifest(small_dataset, tmp_path, edit, named):
+    out, result = small_dataset
+    broken = tmp_path / "broken"
+    shutil.copytree(out, broken)
+    manifest = broken / "manifest_train.jsonl"
+    lines = manifest.read_text().splitlines()
+    doc = json.loads(lines[1])
+    edit(doc["annotation"])
+    lines[1] = json.dumps(doc)
+    manifest.write_text("\n".join(lines) + "\n")
+    expected = f"^{re.escape(str(manifest))}:2: {doc['id']}: manifest annotation {named}$"
+    with pytest.raises(DatasetError, match=expected):
+        load_dataset(manifest)
+
+
+def _rekeyed(key):
+    def edit(doc):
+        doc[key] = doc.pop(sorted(doc)[0])
+    return edit
+
+
+def _frame_not_a_number(doc):
+    doc[sorted(doc)[0]] = {"first": [1, 2, 3, 4]}
+
+
+@pytest.mark.parametrize("edit, named", [
+    (_rekeyed("0-Arg0"), "key '0-Arg0' is not 'event/role'"),
+    (_rekeyed("0/Arg9"), "key '0/Arg9' names unknown role 'Arg9'"),
+    (_frame_not_a_number, "entry '.*' is malformed: .*'first'"),
+], ids=["no-slash", "unknown-role", "frame-not-a-number"])
+def test_malformed_grounding_file_names_video_and_file(small_dataset, tmp_path, edit, named):
+    out, result = small_dataset
+    broken = tmp_path / "broken"
+    shutil.copytree(out, broken)
+    victim = result.val[0].id
+    path = broken / "grounding" / f"{victim}.json"
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(DatasetError, match=f"{victim}: grounding file .*{victim}.json: {named}$"):
+        load_dataset(broken / "manifest_val.jsonl")
 
 
 def test_truncated_feature_file_names_video(small_dataset, tmp_path):

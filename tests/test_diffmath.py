@@ -2,6 +2,7 @@
 contracts, the fused attention and linear nodes against the per-op chains
 they replace, graph release, transformer layers, checkpoint round-trips."""
 
+import gc
 import math
 
 import numpy as np
@@ -344,13 +345,10 @@ def oracle_transpose(x, axes):
     data = x.data.transpose(axes)
     inverse = tuple(np.argsort(axes))
 
-    def make(out):
-        def bw():
-            dm._accumulate(x, out.grad.transpose(inverse))
+    def bw(out):
+        dm._accumulate(x, out.grad.transpose(inverse))
 
-        return bw
-
-    return dm._node(data, (x,), make)
+    return dm._node(data, (x,), bw)
 
 
 def oracle_masked_softmax(scores, mask=None):
@@ -358,15 +356,12 @@ def oracle_masked_softmax(scores, mask=None):
     e = np.exp(x - x.max(axis=-1, keepdims=True))
     data = e / e.sum(axis=-1, keepdims=True)
 
-    def make(out):
-        def bw():
-            g = out.grad
-            inner = (g * out.data).sum(axis=-1, keepdims=True)
-            dm._accumulate(scores, out.data * (g - inner), own=True)
+    def bw(out):
+        g = out.grad
+        inner = (g * out.data).sum(axis=-1, keepdims=True)
+        dm._accumulate(scores, out.data * (g - inner), own=True)
 
-        return bw
-
-    return dm._node(data, (scores,), make)
+    return dm._node(data, (scores,), bw)
 
 
 def unfused_attention(q, k, v, n_heads, mask=None):
@@ -392,22 +387,19 @@ def oracle_layer_norm(x, gain, bias, eps=1e-5):
     xhat = (x.data - mu) * inv
     data = xhat * gain.data + bias.data
 
-    def make(out):
-        def bw():
-            g = out.grad
-            if gain.requires_grad:
-                dm._accumulate(gain, (g * xhat).reshape(-1, xhat.shape[-1]).sum(axis=0))
-            if bias.requires_grad:
-                dm._accumulate(bias, g.reshape(-1, g.shape[-1]).sum(axis=0))
-            if x.requires_grad:
-                dxhat = g * gain.data
-                m1 = dxhat.mean(axis=-1, keepdims=True)
-                m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-                dm._accumulate(x, inv * (dxhat - m1 - xhat * m2), own=True)
+    def bw(out):
+        g = out.grad
+        if gain.requires_grad:
+            dm._accumulate(gain, (g * xhat).reshape(-1, xhat.shape[-1]).sum(axis=0))
+        if bias.requires_grad:
+            dm._accumulate(bias, g.reshape(-1, g.shape[-1]).sum(axis=0))
+        if x.requires_grad:
+            dxhat = g * gain.data
+            m1 = dxhat.mean(axis=-1, keepdims=True)
+            m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
+            dm._accumulate(x, inv * (dxhat - m1 - xhat * m2), own=True)
 
-        return bw
-
-    return dm._node(data, (x, gain, bias), make)
+    return dm._node(data, (x, gain, bias), bw)
 
 
 def unfused_residual_layer_norm(x, a, gain, bias):
@@ -592,13 +584,16 @@ def test_fused_residual_layer_norm_equals_unfused_chain(shapes, dropout_p):
         np.testing.assert_array_equal(a, b)
 
 
-@pytest.mark.parametrize("shape", [(7, 16), (3, 5, 16)], ids=["2d", "3d"])
-def test_fused_ffn_equals_unfused_chain(shape):
+@pytest.mark.parametrize("shape, d_hidden, d_out", [((7, 16), 64, 16), ((3, 5, 16), 64, 16),
+                                                   ((5, 16), 32, 6)],
+                         ids=["2d", "3d", "head"])
+def test_fused_ffn_equals_unfused_chain(shape, d_hidden, d_out):
+    # "head": the shape of the encoder's verb head, whose output is narrower
     g = rng(64)
-    ffn_in, ffn_out = dm.Linear(16, 64, g), dm.Linear(64, 16, g)
+    ffn_in, ffn_out = dm.Linear(16, d_hidden, g), dm.Linear(d_hidden, d_out, g)
     params = [ffn_in.w, ffn_in.b, ffn_out.w, ffn_out.b]
     data = g.normal(size=shape).astype(np.float32)
-    upstream = g.normal(size=shape).astype(np.float32)
+    upstream = g.normal(size=(*shape[:-1], d_out)).astype(np.float32)
     results = []
     for fn in (dm.ffn, unfused_ffn):
         for p in params:
@@ -737,6 +732,25 @@ def test_second_backward_raises():
     np.testing.assert_array_equal(w.grad, [2.0, 2.0, 2.0])
     dm.tensor_sum(dm.mul(w, 3.0)).backward()  # leaves stay usable
     np.testing.assert_array_equal(w.grad, [5.0, 5.0, 5.0])
+
+
+def test_graph_dropped_without_backward_leaves_no_cyclic_garbage():
+    # Linear, attention, residual_layer_norm and ffn nodes, never backpropagated
+    # (a finite-difference forward, or one that raises): reference counting
+    # alone must free them
+    layer = dm.TransformerLayer(8, 2, rng(45))
+    x = dm.Tensor(rng(46).normal(size=(5, 8)).astype(np.float32), requires_grad=True)
+    gc.collect()
+    gc.disable()
+    try:
+        out, _ = layer(x)
+        loss = dm.tensor_sum(dm.mul(out, out))
+        assert loss.requires_grad and out._backward is not None
+        del out, loss
+        collected = gc.collect()
+    finally:
+        gc.enable()
+    assert collected == 0
 
 
 # -- transformer layers -------------------------------------------------------------

@@ -193,10 +193,12 @@ def test_predict_roles_monotone_in_logit(encoder):
     assert higher > base
 
 
-def test_predict_roles_rejects_bad_theta(encoder):
+def test_predict_roles_rejects_bad_theta():
+    # a model config read from a checkpoint is not checked as a TrainConfig is
+    enc = VideoObjectEncoder(small_cfg(theta_role=1.5), rng(1))
     e_ctx = dm.Tensor(np.zeros((5, 16), dtype=np.float32))
     with pytest.raises(ValueError, match="theta_role"):
-        encoder.predict_roles(e_ctx, theta_role=1.5)
+        enc.predict_roles(e_ctx)
 
 
 def test_verb_logits_depend_on_every_object(full_sample, encoder):

@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 from vidsrl import diffmath as dm
-from vidsrl.data_model import EOS, PAD, build_vocabulary, caption_corpus
-from vidsrl.srl import SituationModel
+from vidsrl.data_model import EOS, PAD, ROLES, build_vocabulary, caption_corpus
+from vidsrl.srl import SituationModel, build_event_mask, build_role_queries, role_query_index
 from vidsrl.synth import SynthConfig, generate
 from vidsrl.training import (
     Adam, ConfigError, TrainConfig, TrainState, balanced_sample_weights,
@@ -159,10 +159,11 @@ def test_caption_targets_teacher_forcing_layout():
                                   d_vid=8, d_obj=8, n_slots=6, seed=8))
     sample = result.train[0]
     vocab = build_vocabulary(caption_corpus([sample]), 1)
-    inputs, targets, order = caption_targets(sample, vocab, max_len=15)
+    index = role_query_index([sorted(ev.roles) for ev in sample.annotation.events])
+    inputs, targets = caption_targets(sample, index, vocab, max_len=15)
     assert inputs.shape == targets.shape
     n_roles = sum(len(ev.roles) for ev in sample.annotation.events)
-    assert len(order) == n_roles
+    assert len(inputs) == n_roles
     from vidsrl.data_model import BOS
     assert np.all(inputs[:, 0] == BOS)
     # target row = input row shifted left, closed with EOS
@@ -179,9 +180,32 @@ def test_caption_targets_truncation_warns():
     first_role = sorted(sample.annotation.events[0].roles)[0]
     sample.annotation.events[0].roles[first_role] = ["one two three four five six"]
     vocab = build_vocabulary(caption_corpus([sample]), 1)
+    index = role_query_index([sorted(ev.roles) for ev in sample.annotation.events])
     with pytest.warns(UserWarning, match="truncated"):
-        inputs, targets, _ = caption_targets(sample, vocab, max_len=3)
+        inputs, targets = caption_targets(sample, index, vocab, max_len=3)
     assert inputs.shape[1] == 4  # BOS + 3 tokens
+
+
+def test_caption_row_holds_the_reference_of_its_query():
+    result = generate(SynthConfig(n_videos=1, n_verbs=4, vocab_size=15,
+                                  d_vid=8, d_obj=8, n_slots=6, seed=8))
+    sample = result.train[0]
+    for ev in sample.annotation.events:  # role ids out of order in every event
+        ev.roles = dict(sorted(ev.roles.items(), reverse=True))
+    vocab = build_vocabulary(caption_corpus([sample]), 1)
+    tc = TrainConfig(d_model=8, n_heads=2, n_layers=1)
+    cfg = model_config_for(tc, [sample], result.lexicon, vocab)
+    compiled = compile_sample(sample, vocab, cfg)
+    table = dm.Tensor(np.zeros((len(ROLES), 8), dtype=np.float32))
+    _, index = build_role_queries(compiled.role_sets_sorted, table, table, table)
+    assert len(index) == len(compiled.cap_targets) > len(sample.annotation.events)
+    assert any(q.role > 0 for q in index)
+    for r, q in enumerate(index):
+        reference = sample.annotation.events[q.event].roles[q.role][0]
+        row = [tok for tok in compiled.cap_targets[r] if tok != PAD]
+        assert row == vocab.encode(reference) + [EOS]
+        np.testing.assert_array_equal(
+            compiled.event_mask[r], build_event_mask([q], sample.schedule, sample.n_slots)[0])
 
 
 # -- dense one-hot oracle -------------------------------------------------------------
@@ -345,6 +369,12 @@ def test_config_rejects_bad_values():
         parse_config_text("verb_loss_mode = magic")
     with pytest.raises(ConfigError, match="focal_gamma"):
         parse_config_text("verb_loss_mode = focal\nfocal_gamma = -1")
+
+
+@pytest.mark.parametrize("theta", [0.0, 1.0, 1.5, -0.2])
+def test_config_rejects_theta_role_outside_the_open_unit_interval(theta):
+    with pytest.raises(ConfigError, match=r"theta_role must be in \(0, 1\)"):
+        parse_config_text(f"theta_role = {theta}")
 
 
 # -- training loop -----------------------------------------------------------------------

@@ -624,7 +624,27 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, mask=Non
 # -- parameter blocks ----------------------------------------------------
 
 
-class Linear:
+class Module:
+    """A parameter block: its attributes that are tensors requiring grad, modules or lists of
+    modules, walked in the order ``__init__`` set them: the init draws' and checkpoint's order."""
+
+    def named_parameters(self, prefix: str = ""):
+        for name, value in vars(self).items():
+            path = f"{prefix}.{name}" if prefix else name
+            if isinstance(value, Tensor) and value.requires_grad:
+                yield path, value
+            elif isinstance(value, Module):
+                yield from value.named_parameters(path)
+            elif isinstance(value, list):
+                for i, item in enumerate(value):
+                    if isinstance(item, Module):
+                        yield from item.named_parameters(f"{path}.{i}")
+
+    def parameters(self) -> list[Tensor]:
+        return [p for _, p in self.named_parameters()]
+
+
+class Linear(Module):
     """y = x @ W + b with fan-in uniform init."""
 
     def __init__(self, d_in: int, d_out: int, rng: np.random.Generator):
@@ -649,12 +669,9 @@ class Linear:
 
         return _node(data, (x, self.w, self.b), bw)
 
-    def named_parameters(self, prefix: str):
-        yield f"{prefix}.w", self.w
-        yield f"{prefix}.b", self.b
 
 
-class Embedding:
+class Embedding(Module):
     """Learned lookup table, normal(0, 0.02) init."""
 
     def __init__(self, n: int, d: int, rng: np.random.Generator):
@@ -664,23 +681,18 @@ class Embedding:
     def __call__(self, idx) -> Tensor:
         return gather_rows(self.table, idx)
 
-    def named_parameters(self, prefix: str):
-        yield f"{prefix}.table", self.table
 
 
-class LayerNorm:
+class LayerNorm(Module):
     """The gain and bias of one layer norm (see :func:`residual_layer_norm`)."""
 
     def __init__(self, d: int):
         self.gain = Tensor(np.ones(d, dtype=np.float32), requires_grad=True)
         self.bias = Tensor(np.zeros(d, dtype=np.float32), requires_grad=True)
 
-    def named_parameters(self, prefix: str):
-        yield f"{prefix}.gain", self.gain
-        yield f"{prefix}.bias", self.bias
 
 
-class AttentionBlock:
+class AttentionBlock(Module):
     """Multi-head attention with learned Q/K/V/output projections."""
 
     def __init__(self, d: int, n_heads: int, rng: np.random.Generator):
@@ -717,12 +729,9 @@ class AttentionBlock:
         out, _ = multi_head_attention(q, k, v, self.n_heads, need_weights=False)
         return self.wo(reshape(out, (n, d))), (k, v)
 
-    def named_parameters(self, prefix: str):
-        for name, block in (("wq", self.wq), ("wk", self.wk), ("wv", self.wv), ("wo", self.wo)):
-            yield from block.named_parameters(f"{prefix}.{name}")
 
 
-class TransformerLayer:
+class TransformerLayer(Module):
     """One encoder or decoder layer (post-norm): self-attention, optional
     cross-attention, position-wise FFN of width 4d, each with a residual and
     a layer norm."""
@@ -780,15 +789,6 @@ class TransformerLayer:
         f = ffn(x, self.ffn_in, self.ffn_out)
         return residual_layer_norm(x, drop(f), self.ln2.gain, self.ln2.bias), cross_weights
 
-    def named_parameters(self, prefix: str):
-        yield from self.self_attn.named_parameters(f"{prefix}.self_attn")
-        yield from self.ln1.named_parameters(f"{prefix}.ln1")
-        if self.cross:
-            yield from self.cross_attn.named_parameters(f"{prefix}.cross_attn")
-            yield from self.ln_cross.named_parameters(f"{prefix}.ln_cross")
-        yield from self.ffn_in.named_parameters(f"{prefix}.ffn_in")
-        yield from self.ffn_out.named_parameters(f"{prefix}.ffn_out")
-        yield from self.ln2.named_parameters(f"{prefix}.ln2")
 
 
 # -- gradient checking ----------------------------------------------------

@@ -17,10 +17,15 @@ from . import diffmath as dm
 from .data_model import ROLES, VideoSample
 
 
+class ConfigError(ValueError):
+    """A config value out of its range, or config text that does not parse."""
+
+
 @dataclass
 class ArchConfig:
     """The architecture shared by all three transformer stages; the fields a
-    user sets, declared once for training and for the model."""
+    user sets, declared once for training and for the model, and checked
+    wherever a config is built, a checkpoint's too."""
 
     d_model: int = 1024
     n_heads: int = 8
@@ -28,6 +33,17 @@ class ArchConfig:
     max_caption_len: int = 15
     theta_role: float = 0.5
     degrade_objects: bool = False
+
+    _AT_LEAST_ONE = ("d_model", "n_heads", "n_layers", "max_caption_len")
+
+    def __post_init__(self):
+        for key in self._AT_LEAST_ONE:
+            if getattr(self, key) < 1:
+                raise ConfigError(f"{key} must be >= 1, got {getattr(self, key)}")
+        if self.d_model % self.n_heads != 0:
+            raise ConfigError(f"n_heads must divide d_model {self.d_model}, got {self.n_heads}")
+        if not (0.0 < self.theta_role < 1.0):
+            raise ConfigError(f"theta_role must be in (0, 1), got {self.theta_role}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -53,7 +69,10 @@ class ModelConfig(ArchConfig):
         if unknown or missing:
             raise dm.CheckpointError(f"model config does not fit this model: "
                                      f"unknown keys {unknown}, missing keys {missing}")
-        return cls(**d)
+        try:
+            return cls(**d)
+        except ConfigError as e:
+            raise dm.CheckpointError(f"checkpoint model config: {e}") from e
 
 
 def box_position_features(sample: VideoSample) -> np.ndarray:
@@ -97,7 +116,7 @@ def prepare_inputs(sample: VideoSample, degrade_objects: bool = False) -> Sample
     )
 
 
-class VideoObjectEncoder:
+class VideoObjectEncoder(dm.Module):
     """Transformer over object + event tokens with verb and role heads."""
 
     def __init__(self, cfg: ModelConfig, rng: np.random.Generator):
@@ -146,8 +165,6 @@ class VideoObjectEncoder:
         may come back with an empty set; the caller decides any fallback.
         """
         theta = self.cfg.theta_role
-        if not (0.0 < theta < 1.0):
-            raise ValueError(f"theta_role must be in (0, 1), got {theta}")
         probs = dm.sigmoid(self.role_logits(e_ctx))
         sets = [sorted(np.flatnonzero(row > theta).tolist()) for row in probs.data]
         return probs, sets
@@ -155,15 +172,3 @@ class VideoObjectEncoder:
     def forward(self, inputs: SampleInputs, dropout_p: float = 0.0, rng=None):
         tokens = self.embed_tokens(inputs)
         return self.encode(tokens, dropout_p=dropout_p, rng=rng)
-
-    def named_parameters(self, prefix: str = "encoder"):
-        yield from self.obj_proj.named_parameters(f"{prefix}.obj_proj")
-        yield from self.event_proj.named_parameters(f"{prefix}.event_proj")
-        yield from self.pe_event.named_parameters(f"{prefix}.pe_event")
-        yield from self.box_proj.named_parameters(f"{prefix}.box_proj")
-        for i, layer in enumerate(self.layers):
-            yield from layer.named_parameters(f"{prefix}.layers.{i}")
-        yield from self.verb_in.named_parameters(f"{prefix}.verb_in")
-        yield from self.verb_out.named_parameters(f"{prefix}.verb_out")
-        yield from self.role_in.named_parameters(f"{prefix}.role_in")
-        yield from self.role_out.named_parameters(f"{prefix}.role_out")

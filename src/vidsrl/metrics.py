@@ -23,6 +23,7 @@ from .srl import PredictionRecord
 CIDER_N = 4
 CIDER_SIGMA = 6.0
 ROUGE_BETA = 1.2
+ROLE_GROUNDING_THETA = 0.5  # the theta of the per-role grounding entries
 
 
 # -- boxes and grounding ---------------------------------------------------
@@ -45,41 +46,55 @@ def box_iou(a, b) -> float:
     return inter / (area_a + area_b - inter)
 
 
+def role_grounding_hits(preds: dict[tuple[int, int], object], sample: VideoSample,
+                        theta: float, roles_eval: tuple[int, ...] = VISUAL_ROLES):
+    """Per event of one video, a (role, hit) pair for each evaluated role
+    that has an annotation, in role order.
+
+    A role hits iff its predicted frame is a key of the annotation
+    dictionary AND the predicted box overlaps the annotated box at that
+    frame by strictly more than theta.
+    """
+    gdict = sample.annotation.grounding
+    per_event = []
+    for i, ev in enumerate(sample.annotation.events):
+        hits = []
+        for k in sorted(ev.roles):
+            frames = {} if gdict is None or k not in roles_eval else gdict.boxes_for(i, k)
+            if frames:
+                pred = preds.get((i, k))
+                hits.append((k, pred is not None and pred.frame in frames
+                             and box_iou(pred.box, frames[pred.frame]) > theta))
+        per_event.append(hits)
+    return per_event
+
+
+def event_grounding_scores(events, per_event_hits, strict: bool = False):
+    """Per-event grounding scores from :func:`role_grounding_hits`.
+
+    Events average over their annotated evaluated roles (strict mode instead
+    normalizes by all ground-truth roles of the event). Returns (per-event
+    score list, skipped event count); events with no annotated evaluated
+    role are excluded.
+    """
+    scores = []
+    skipped = 0
+    for ev, hits in zip(events, per_event_hits):
+        if not hits:
+            skipped += 1
+            continue
+        denom = len(ev.roles) if strict else len(hits)
+        scores.append(sum(1.0 for _, hit in hits if hit) / denom)
+    return scores, skipped
+
+
 def grounding_score(preds: dict[tuple[int, int], object], sample: VideoSample,
                     theta: float, roles_eval: tuple[int, ...] = VISUAL_ROLES,
                     strict: bool = False):
-    """Per-event grounding scores for one video.
-
-    For each evaluated role the score is 1 iff the predicted frame is a key
-    of the annotation dictionary AND the predicted box overlaps the annotated
-    box at that frame by strictly more than theta. Events average over their
-    evaluated roles; roles without any annotation are skipped (strict mode
-    instead normalizes by all ground-truth roles of the event). Returns
-    (per-event score list, skipped event count); events whose evaluated roles
-    all lack annotations are excluded.
-    """
-    gdict = sample.annotation.grounding
-    scores = []
-    skipped = 0
-    for i, ev in enumerate(sample.annotation.events):
-        gt_roles = sorted(ev.roles)
-        annotated = [] if gdict is None else [
-            k for k in gt_roles if k in roles_eval and gdict.boxes_for(i, k)
-        ]
-        if not annotated:
-            skipped += 1
-            continue
-        hits = 0.0
-        for k in annotated:
-            pred = preds.get((i, k))
-            if pred is None:
-                continue
-            frames = gdict.boxes_for(i, k)
-            if pred.frame in frames and box_iou(pred.box, frames[pred.frame]) > theta:
-                hits += 1.0
-        denom = len(gt_roles) if strict else len(annotated)
-        scores.append(hits / denom)
-    return scores, skipped
+    """Per-event grounding scores for one video at theta; see
+    :func:`role_grounding_hits` and :func:`event_grounding_scores`."""
+    return event_grounding_scores(sample.annotation.events,
+                                  role_grounding_hits(preds, sample, theta, roles_eval), strict)
 
 
 # -- verb metrics ------------------------------------------------------------
@@ -282,7 +297,10 @@ def evaluate(predictions: list[list[PredictionRecord]], samples: list[VideoSampl
 
     Captions are scored over (event, role) pairs for roles present in the
     ground truth; a missing prediction contributes an empty caption.
-    Grounding is averaged over annotated events at each theta.
+    Grounding is averaged over annotated events at each theta; at theta
+    0.5 it is also reported per visual role, as the share of that role's
+    annotated (event, role) instances that hit (``iou@0.5/Arg0``, ...,
+    present only for a role with at least one annotated instance).
     """
     if not predictions or all(not recs for recs in predictions):
         raise ValueError("no predictions to evaluate")
@@ -298,6 +316,7 @@ def evaluate(predictions: list[list[PredictionRecord]], samples: list[VideoSampl
     role_groups: list[int] = []
     rouge_vals: list[float] = []
     grounding_lists: dict[float, list[float]] = {t: [] for t in thetas}
+    role_hits: dict[int, list[bool]] = {}
     skipped = 0
 
     for records in predictions:
@@ -331,8 +350,14 @@ def evaluate(predictions: list[list[PredictionRecord]], samples: list[VideoSampl
 
         sk = 0
         for theta in thetas:
-            scores, sk = grounding_score(preds_ik, sample, theta, strict=strict_grounding)
+            hits = role_grounding_hits(preds_ik, sample, theta)
+            scores, sk = event_grounding_scores(sample.annotation.events, hits,
+                                                strict=strict_grounding)
             grounding_lists[theta].extend(scores)
+            if theta == ROLE_GROUNDING_THETA:
+                for event_hits in hits:
+                    for k, hit in event_hits:
+                        role_hits.setdefault(k, []).append(hit)
         skipped += sk  # skip count is theta-independent
 
     acc1 = _ranked_accuracy([row[:1] for row in pred_rows], gt_sets)
@@ -350,6 +375,8 @@ def evaluate(predictions: list[list[PredictionRecord]], samples: list[VideoSampl
         f"iou@{theta}": (float(np.mean(vals)) if vals else 0.0)
         for theta, vals in grounding_lists.items()
     }
+    for k in sorted(role_hits):
+        grounding[f"iou@{ROLE_GROUNDING_THETA}/{ROLES[k]}"] = float(np.mean(role_hits[k]))
     per_role, macro = role_prf(pred_role_sets, gt_role_sets)
     report = EvalReport(
         verb={"acc@1": acc1, "acc@5": acc5, "recall@5": rec5},

@@ -87,7 +87,7 @@ def build_event_mask(queries: list[RoleQuery], schedule: FrameSchedule, n_slots:
     return per_event[[q.event for q in queries]]
 
 
-class RoleObjectDecoder:
+class RoleObjectDecoder(dm.Module):
     """Transformer decoder: self-attention among role queries (unmasked),
     event-aware masked cross-attention to contextualised objects, FFN."""
 
@@ -111,10 +111,6 @@ class RoleObjectDecoder:
             all_weights.append(w)
         return x, all_weights
 
-    def named_parameters(self, prefix: str = "role_decoder"):
-        yield from self.role_embed.named_parameters(f"{prefix}.role_embed")
-        for i, layer in enumerate(self.layers):
-            yield from layer.named_parameters(f"{prefix}.layers.{i}")
 
 
 def extract_grounding(alpha_row: np.ndarray, allowed: np.ndarray,
@@ -135,7 +131,7 @@ def extract_grounding(alpha_row: np.ndarray, allowed: np.ndarray,
 # -- captioning (stage 3) ----------------------------------------------------
 
 
-class OneKeyCrossAttention:
+class OneKeyCrossAttention(dm.Module):
     """The captioner's cross sublayer. Each caption attends a single key, its
     own role vector z, so the softmax is exactly 1 and the output is
     ``wo(wv(z))`` at every position, whatever the queries: there are no
@@ -147,12 +143,9 @@ class OneKeyCrossAttention:
     def __call__(self, z: dm.Tensor) -> dm.Tensor:
         return self.wo(self.wv(z))
 
-    def named_parameters(self, prefix: str):
-        yield from self.wv.named_parameters(f"{prefix}.wv")
-        yield from self.wo.named_parameters(f"{prefix}.wo")
 
 
-class CaptionDecoder:
+class CaptionDecoder(dm.Module):
     """Autoregressive transformer decoder conditioned on one role vector.
 
     Every role is its own sequence on a leading role axis. Self-attention is
@@ -226,12 +219,6 @@ class CaptionDecoder:
             out.append(ids[:max_len])
         return out
 
-    def named_parameters(self, prefix: str = "captioner"):
-        yield from self.token_embed.named_parameters(f"{prefix}.token_embed")
-        yield from self.pos_embed.named_parameters(f"{prefix}.pos_embed")
-        for i, layer in enumerate(self.layers):
-            yield from layer.named_parameters(f"{prefix}.layers.{i}")
-        yield from self.out.named_parameters(f"{prefix}.out")
 
 
 # -- full model and inference -------------------------------------------------
@@ -254,7 +241,7 @@ class PredictionRecord:
     roles: list[RolePrediction]
 
 
-class SituationModel:
+class SituationModel(dm.Module):
     """The three stages plus the lexicon and vocabulary they are bound to."""
 
     def __init__(self, cfg: ModelConfig, lexicon: VerbLexicon, vocab: Vocabulary,
@@ -269,16 +256,6 @@ class SituationModel:
         self.encoder = VideoObjectEncoder(cfg, rng)
         self.role_decoder = RoleObjectDecoder(cfg, rng)
         self.captioner = CaptionDecoder(cfg, rng)
-
-    # parameter plumbing
-
-    def named_parameters(self):
-        yield from self.encoder.named_parameters("encoder")
-        yield from self.role_decoder.named_parameters("role_decoder")
-        yield from self.captioner.named_parameters("captioner")
-
-    def parameters(self) -> list[dm.Tensor]:
-        return [p for _, p in self.named_parameters()]
 
     def meta(self) -> dict:
         """What a checkpoint records beside the parameters to rebuild the model."""

@@ -20,17 +20,13 @@ from .data_model import (
     BOS, EOS, PAD, VerbLexicon, VideoSample, Vocabulary, build_vocabulary,
     caption_corpus,
 )
-from .encoder import ArchConfig, ModelConfig, prepare_inputs
+from .encoder import ArchConfig, ConfigError, ModelConfig, prepare_inputs
 from .metrics import evaluate
 from .srl import (
     RoleQuery, SituationModel, build_event_mask, build_role_queries, role_query_index,
 )
 
 VERB_LOSS_MODES = ("plain", "reweighted", "focal", "balanced-sampling")
-
-
-class ConfigError(ValueError):
-    pass
 
 
 @dataclass
@@ -48,14 +44,17 @@ class TrainConfig(ArchConfig):
     eval_every: int = 25
     vocab_min_count: int = 1
 
+    _AT_LEAST_ONE = ArchConfig._AT_LEAST_ONE + ("batch_size", "eval_every")
+
     def __post_init__(self):
+        super().__post_init__()
         if self.verb_loss_mode not in VERB_LOSS_MODES:
             raise ConfigError(f"verb_loss_mode must be one of {VERB_LOSS_MODES}, "
                               f"got {self.verb_loss_mode!r}")
         if self.verb_loss_mode == "focal" and self.focal_gamma <= 0:
             raise ConfigError(f"focal_gamma must be > 0, got {self.focal_gamma}")
-        if not (0.0 < self.theta_role < 1.0):
-            raise ConfigError(f"theta_role must be in (0, 1), got {self.theta_role}")
+        if not (0.0 <= self.dropout < 1.0):
+            raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
 
 
 # Exact config file surface: every TrainConfig field, parsed by its declared type
@@ -447,7 +446,8 @@ def train(train_samples: list[VideoSample], lexicon: VerbLexicon, cfg: TrainConf
                     val_samples)
                 entry["val_verb_acc1"] = report.verb["acc@1"]
                 entry["val_cider"] = report.srl["cider"]
-                entry["val_iou@0.5"] = report.grounding["iou@0.5"]
+                entry.update({f"val_{k}": v for k, v in report.grounding.items()
+                              if k.startswith("iou@0.5")})
                 if report.verb["acc@1"] > best_verb:
                     best_verb = report.verb["acc@1"]
                     model.save(os.path.join(out_dir, "checkpoint_best_verb.bin"))
@@ -460,6 +460,7 @@ def train(train_samples: list[VideoSample], lexicon: VerbLexicon, cfg: TrainConf
             if log_fn:
                 log_fn(entry)
 
+    optimizer.zero_grad()  # the last batch's gradients: nothing reads or saves them
     model.save(os.path.join(out_dir, "checkpoint_last.bin"))
     state.save(os.path.join(out_dir, "train_state.bin"))
     return state

@@ -86,6 +86,36 @@ def test_train_rejects_bad_theta_role_before_training(workspace, tmp_path, capsy
     assert not out.exists()
 
 
+@pytest.mark.parametrize("sets", [["batch_size=0"], ["eval_every=0"], ["dropout=1.0"],
+                                  ["d_model=16", "n_heads=3"], ["d_model=0"],
+                                  ["max_caption_len=0"]], ids=",".join)
+def test_train_rejects_value_that_would_fail_later_before_training(workspace, tmp_path, capsys,
+                                                                  sets):
+    # each of these used to crash with a traceback, some only after training
+    _, data, _ = workspace
+    out = tmp_path / "run"
+    overrides = [arg for item in sets for arg in ("--set", item)]
+    code = main(["train", "--data", str(data), "--out", str(out)] + TRAIN_SET + overrides)
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"error: {sets[-1].split('=')[0]} ")
+    assert not out.exists()
+
+
+def test_predict_rejects_checkpoint_with_bad_theta_role(workspace, tmp_path, capsys):
+    _, data, run = workspace
+    arrays, meta = dm.load_tensors(run / "checkpoint_last.bin")
+    meta["config"]["theta_role"] = 1.5
+    bad = tmp_path / "bad_theta.bin"
+    dm.save_tensors(bad, arrays, meta)
+    out = tmp_path / "p.jsonl"
+    code = main(["predict", "--data", str(data), "--split", "val", "--checkpoint", str(bad),
+                 "--regime", "pred-pred", "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "theta_role must be in (0, 1), got 1.5" in err
+    assert not out.exists()
+
+
 def test_validate_flags_corruption(workspace, tmp_path, capsys):
     _, data, _ = workspace
     import shutil

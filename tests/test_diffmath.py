@@ -753,6 +753,31 @@ def test_graph_dropped_without_backward_leaves_no_cyclic_garbage():
     assert collected == 0
 
 
+# -- parameter walk -----------------------------------------------------------------
+
+
+class _Toy(dm.Module):
+    def __init__(self, g):
+        self.scale = dm.Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
+        self.const = dm.Tensor(np.zeros(3, dtype=np.float32))
+        self.n = 4
+        self.proj = dm.Linear(3, 2, g)
+        self.heads = [dm.Linear(2, 2, g), dm.Linear(2, 1, g)]
+
+
+def test_module_walks_grad_tensors_in_assignment_order_with_indexed_list_paths():
+    toy = _Toy(rng(90))
+    named = list(toy.named_parameters("toy"))
+    assert [name for name, _ in named] == [
+        "toy.scale", "toy.proj.w", "toy.proj.b",
+        "toy.heads.0.w", "toy.heads.0.b", "toy.heads.1.w", "toy.heads.1.b"]
+    expected = [toy.scale, toy.proj.w, toy.proj.b,
+                toy.heads[0].w, toy.heads[0].b, toy.heads[1].w, toy.heads[1].b]
+    assert all(p is q for (_, p), q in zip(named, expected))
+    assert all(p is q for p, q in zip(toy.parameters(), expected))
+    assert [name for name, _ in toy.named_parameters()][:2] == ["scale", "proj.w"]
+
+
 # -- transformer layers -------------------------------------------------------------
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from vidsrl import diffmath as dm
 from vidsrl.encoder import (
-    ModelConfig, SampleInputs, VideoObjectEncoder, box_position_features,
+    ConfigError, ModelConfig, SampleInputs, VideoObjectEncoder, box_position_features,
     prepare_inputs, proposal_event_owners,
 )
 from vidsrl.synth import SynthConfig, generate
@@ -194,11 +194,13 @@ def test_predict_roles_monotone_in_logit(encoder):
 
 
 def test_predict_roles_rejects_bad_theta():
-    # a model config read from a checkpoint is not checked as a TrainConfig is
-    enc = VideoObjectEncoder(small_cfg(theta_role=1.5), rng(1))
-    e_ctx = dm.Tensor(np.zeros((5, 16), dtype=np.float32))
-    with pytest.raises(ValueError, match="theta_role"):
-        enc.predict_roles(e_ctx)
+    # the model config checks the threshold where it is built, also when it
+    # is read from a checkpoint, so predict_roles never sees a bad one
+    for theta in (0.0, 1.0, 1.5):
+        with pytest.raises(ConfigError, match=r"theta_role must be in \(0, 1\)"):
+            small_cfg(theta_role=theta)
+        with pytest.raises(dm.CheckpointError, match="theta_role"):
+            ModelConfig.from_dict({**small_cfg().to_dict(), "theta_role": theta})
 
 
 def test_verb_logits_depend_on_every_object(full_sample, encoder):

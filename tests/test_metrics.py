@@ -3,13 +3,14 @@ brute-force oracle, plus the worked arithmetic examples."""
 
 import math
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vidsrl.data_model import ROLE_IDS, ROLES
+from vidsrl.data_model import ROLE_IDS, ROLES, VISUAL_ROLES
 from vidsrl.metrics import (
     EvalReport, box_iou, cider, cider_grouped, cider_scores, evaluate,
     grounding_score, role_prf, rouge_l, verb_accuracy_at_k, verb_recall_at_k,
@@ -422,6 +423,26 @@ def test_evaluate_oracle_predictions_max_scores():
     assert report.grounding["iou@0.5"] == 1.0
     assert report.roles["macro_f1"] == pytest.approx(1.0)
     assert "roles/macro_f1" in report.table()
+
+
+def test_per_role_grounding_is_the_hit_share_of_each_annotated_role():
+    result = generate(SynthConfig(n_videos=0, n_val=6, n_verbs=6, vocab_size=20,
+                                  d_vid=8, d_obj=8, n_slots=5, seed=36))
+    preds = [oracle_predict(s, result.secrets) for s in result.val]
+    counts = Counter(k for s in result.val for i, ev in enumerate(s.annotation.events)
+                     for k in ev.roles
+                     if k in VISUAL_ROLES and s.annotation.grounding.boxes_for(i, k))
+    per_role = {key: v for key, v in evaluate(preds, result.val).grounding.items()
+                if key.startswith("iou@0.5/")}
+    assert len(counts) > 1
+    assert per_role == {f"iou@0.5/{ROLES[k]}": 1.0 for k in counts}
+    # one Arg0 box moved off its frame: that role alone loses one hit
+    arg0 = next(rp for rec in preds[0] for rp in rec.roles if rp.role == ROLE_IDS["Arg0"])
+    arg0.grounding = replace(arg0.grounding, frame=-1)
+    report = evaluate(preds, result.val)
+    assert report.grounding["iou@0.5/Arg0"] == pytest.approx(1 - 1 / counts[ROLE_IDS["Arg0"]])
+    assert all(v == 1.0 for key, v in report.grounding.items()
+               if key.startswith("iou@0.5/") and key != "iou@0.5/Arg0")
 
 
 def test_evaluate_rejects_empty_predictions():

@@ -313,7 +313,7 @@ def test_captioner_init_is_a_cross_layer_stack_without_query_key_projections():
                           for i in range(cfg.n_layers)),
                         ("out", dm.Linear(16, cfg.vocab_size, g))):
         reference.update(block.named_parameters(f"captioner.{name}"))
-    kept = dict(cap.named_parameters())
+    kept = dict(cap.named_parameters("captioner"))
     dropped = {n for n in reference if ".cross_attn.wq." in n or ".cross_attn.wk." in n}
     assert len(dropped) == 4 * cfg.n_layers
     assert list(kept) == [n for n in reference if n not in dropped]

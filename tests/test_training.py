@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from vidsrl import diffmath as dm
-from vidsrl.data_model import EOS, PAD, ROLES, build_vocabulary, caption_corpus
+from vidsrl.data_model import EOS, PAD, ROLES, VISUAL_ROLES, build_vocabulary, caption_corpus
 from vidsrl.srl import SituationModel, build_event_mask, build_role_queries, role_query_index
 from vidsrl.synth import SynthConfig, generate
 from vidsrl.training import (
@@ -398,6 +398,19 @@ def test_train_smoke_writes_checkpoint(tiny_setup, tmp_path):
     entries = [json.loads(l) for l in (out / "metrics.jsonl").read_text().splitlines()]
     assert len(entries) == 1
     assert state.epoch == 1
+    # validation grounding is logged per role that has an annotated instance
+    annotated = {ROLES[k] for s in result.val for i, ev in enumerate(s.annotation.events)
+                 for k in ev.roles if k in VISUAL_ROLES and s.annotation.grounding.boxes_for(i, k)}
+    logged = {key.split("/")[1] for key in entries[0] if key.startswith("val_iou@0.5/")}
+    assert annotated and logged == annotated
+    assert all(0.0 <= entries[0][f"val_iou@0.5/{role}"] <= 1.0 for role in logged)
+
+
+def test_train_returns_state_without_gradients(tiny_setup, tmp_path):
+    result, cfg = tiny_setup
+    state = train(result.train, result.lexicon, cfg, tmp_path / "run_grads")
+    params = state.model.parameters()
+    assert len(params) > 0 and all(p.grad is None for p in params)
 
 
 def test_train_loss_equals_sum_of_components(tiny_setup, tmp_path):

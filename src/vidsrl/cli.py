@@ -24,7 +24,7 @@ from .metrics import evaluate
 from .srl import REGIMES, SituationModel, read_predictions, write_predictions
 from .synth import SynthConfig, generate, write_dataset
 from .training import (
-    ConfigError, TrainConfig, apply_override, config_defaults_help, load_config, train,
+    ConfigError, TrainConfig, apply_override, config_defaults_help, config_values, train,
 )
 
 
@@ -35,8 +35,13 @@ def _add_overrides(parser):
 
 
 def _resolve_config(args) -> TrainConfig:
-    cfg = load_config(args.config) if args.config else TrainConfig()
-    values = cfg.to_dict()
+    """The config file's values with the ``--set`` overrides applied, validated
+    once, so that an override can replace an out-of-range file value."""
+    text = ""
+    if args.config:
+        with open(args.config) as f:
+            text = f.read()
+    values = config_values(text)
     for item in args.set:
         if "=" not in item:
             raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")

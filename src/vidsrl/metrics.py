@@ -14,6 +14,7 @@ import math
 import warnings
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -158,27 +159,47 @@ def _ngram_counts(tokens: list[str], n: int) -> Counter:
     return Counter(tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
 
 
-def _doc_freq(references: list[list[str]]):
-    """Document frequency of every n-gram over the reference corpus."""
+def _caption_ngrams(caption: str) -> tuple[int, list[Counter]]:
+    """Token count and n-gram counts (n = 1..CIDER_N) of a normalized caption."""
+    toks = normalize_caption(caption).split()
+    return len(toks), [_ngram_counts(toks, n) for n in range(1, CIDER_N + 1)]
+
+
+def _doc_freq(references: list[list[str]], ngrams: dict[str, tuple[int, list[Counter]]]):
+    """Document frequency of every n-gram over the reference corpus, one
+    document per item; ``ngrams`` maps each reference to its
+    :func:`_caption_ngrams`."""
     df = Counter()
     for refs in references:
         seen = set()
         for ref in refs:
-            toks = normalize_caption(ref).split()
-            for n in range(1, CIDER_N + 1):
-                seen.update(_ngram_counts(toks, n).keys())
+            for counts in ngrams[ref][1]:
+                seen.update(counts.keys())
         df.update(seen)
     return df
 
 
-def _tfidf(tokens: list[str], df: Counter, log_n: float):
+def _tfidf(counts_by_n: list[Counter], df: Counter, log_n: float):
     vecs, norms = [], []
-    for n in range(1, CIDER_N + 1):
-        counts = _ngram_counts(tokens, n)
+    for counts in counts_by_n:
         vec = {g: c * (log_n - math.log(max(1.0, df[g]))) for g, c in counts.items()}
         vecs.append(vec)
         norms.append(math.sqrt(sum(v * v for v in vec.values())))
     return vecs, norms
+
+
+def _similarity_row(cand, ref) -> list[float]:
+    """Length-penalised clipped TF-IDF cosine of a candidate and a reference
+    for each n-gram size; each side is a (token count, vecs, norms) triple."""
+    (c_len, c_vecs, c_norms), (r_len, r_vecs, r_norms) = cand, ref
+    penalty = math.exp(-((c_len - r_len) ** 2) / (2 * CIDER_SIGMA ** 2))
+    row = []
+    for n in range(CIDER_N):
+        num = sum(min(c_vecs[n][g], r_vecs[n][g]) * r_vecs[n][g]
+                  for g in c_vecs[n] if g in r_vecs[n])
+        denom = c_norms[n] * r_norms[n]
+        row.append(penalty * (num / denom if denom > 0 else 0.0))
+    return row
 
 
 def cider_scores(candidates: list[str], references: list[list[str]]) -> list[float]:
@@ -188,28 +209,35 @@ def cider_scores(candidates: list[str], references: list[list[str]]) -> list[flo
     TF-IDF dot product over the norm product (0 when either norm is 0),
     damped by a gaussian penalty on the length difference. Scores average
     over n-gram sizes and over references, then scale by 10.
+
+    Within one call each distinct caption is tokenised and weighted once,
+    each distinct (candidate, reference) pair compared once and each
+    distinct (candidate, references) item scored once; every score equals
+    the per-item definition bit for bit.
     """
     if len(candidates) != len(references):
         raise ValueError("candidates and references must align")
     if len(candidates) < 2:
         raise ValueError("consensus scoring needs a corpus of at least 2 items")
-    df = _doc_freq(references)
+    ngrams = {caption: _caption_ngrams(caption)
+              for caption in dict.fromkeys(chain(candidates, chain.from_iterable(references)))}
+    df = _doc_freq(references, ngrams)
     log_n = math.log(len(candidates))
+    vectors = {caption: (n_tokens, *_tfidf(counts, df, log_n))
+               for caption, (n_tokens, counts) in ngrams.items()}
+    rows: dict[tuple[str, str], list[float]] = {}
+    items: dict[tuple[str, tuple[str, ...]], float] = {}
     out = []
     for cand, refs in zip(candidates, references):
-        cand_toks = normalize_caption(cand).split()
-        c_vecs, c_norms = _tfidf(cand_toks, df, log_n)
-        total = np.zeros(CIDER_N)
-        for ref in refs:
-            ref_toks = normalize_caption(ref).split()
-            r_vecs, r_norms = _tfidf(ref_toks, df, log_n)
-            penalty = math.exp(-((len(cand_toks) - len(ref_toks)) ** 2) / (2 * CIDER_SIGMA ** 2))
-            for n in range(CIDER_N):
-                num = sum(min(c_vecs[n][g], r_vecs[n][g]) * r_vecs[n][g]
-                          for g in c_vecs[n] if g in r_vecs[n])
-                denom = c_norms[n] * r_norms[n]
-                total[n] += penalty * (num / denom if denom > 0 else 0.0)
-        out.append(float(total.mean() / len(refs) * 10.0))
+        item = (cand, tuple(refs))
+        if item not in items:
+            total = np.zeros(CIDER_N)
+            for ref in refs:
+                if (cand, ref) not in rows:
+                    rows[cand, ref] = _similarity_row(vectors[cand], vectors[ref])
+                total += rows[cand, ref]
+            items[item] = float(total.mean() / len(refs) * 10.0)
+        out.append(items[item])
     return out
 
 
@@ -237,14 +265,13 @@ def _group_mean(scores: list[float], group_keys: list) -> float:
 
 
 def _lcs_len(a: list[str], b: list[str]) -> int:
-    dp = np.zeros((len(a) + 1, len(b) + 1), dtype=np.int64)
-    for i in range(1, len(a) + 1):
-        for j in range(1, len(b) + 1):
-            if a[i - 1] == b[j - 1]:
-                dp[i, j] = dp[i - 1, j - 1] + 1
-            else:
-                dp[i, j] = max(dp[i - 1, j], dp[i, j - 1])
-    return int(dp[len(a), len(b)])
+    prev = [0] * (len(b) + 1)
+    for x in a:
+        row = [0]
+        for j, y in enumerate(b):
+            row.append(prev[j] + 1 if x == y else max(prev[j + 1], row[j]))
+        prev = row
+    return prev[-1]
 
 
 def rouge_l(candidate: str, references: list[str], beta: float = ROUGE_BETA) -> float:
@@ -314,7 +341,6 @@ def evaluate(predictions: list[list[PredictionRecord]], samples: list[VideoSampl
     references: list[list[str]] = []
     verb_groups: list[int] = []
     role_groups: list[int] = []
-    rouge_vals: list[float] = []
     grounding_lists: dict[float, list[float]] = {t: [] for t in thetas}
     role_hits: dict[int, list[bool]] = {}
     skipped = 0
@@ -346,7 +372,6 @@ def evaluate(predictions: list[list[PredictionRecord]], samples: list[VideoSampl
                 references.append(refs)
                 verb_groups.append(ev.primary_verb)
                 role_groups.append(k)
-                rouge_vals.append(rouge_l(cand, refs))
 
         sk = 0
         for theta in thetas:
@@ -365,11 +390,13 @@ def evaluate(predictions: list[list[PredictionRecord]], samples: list[VideoSampl
     rec5 = _ranked_recall(pred_rows, gt_sets)
 
     scores = cider_scores(candidates, references)  # scored once, grouped twice
+    items = list(zip(candidates, map(tuple, references)))  # ROUGE-L once per distinct item
+    rouge = {item: rouge_l(*item) for item in dict.fromkeys(items)}
     srl = {
         "cider": float(np.mean(scores)) * 10.0,
         "cider_vb": _group_mean(scores, verb_groups) * 10.0,
         "cider_arg": _group_mean(scores, role_groups) * 10.0,
-        "rouge_l": float(np.mean(rouge_vals)),
+        "rouge_l": float(np.mean([rouge[item] for item in items])),
     }
     grounding = {
         f"iou@{theta}": (float(np.mean(vals)) if vals else 0.0)

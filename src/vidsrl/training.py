@@ -63,9 +63,11 @@ _PARSERS = {"int": int, "float": float, "str": str,
 CONFIG_KEYS = {f.name: _PARSERS[f.type] for f in fields(TrainConfig)}
 
 
-def parse_config_text(text: str, base: TrainConfig | None = None) -> TrainConfig:
-    """Parse flat ``key = value`` lines; '#' starts a comment."""
-    values = (base.to_dict() if base else TrainConfig().to_dict())
+def config_values(text: str) -> dict:
+    """The value of every config key: the defaults, updated by flat
+    ``key = value`` lines ('#' starts a comment). Not yet validated, so that
+    later overrides can still change a value; build a TrainConfig from it."""
+    values = TrainConfig().to_dict()
     for line_no, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -74,7 +76,12 @@ def parse_config_text(text: str, base: TrainConfig | None = None) -> TrainConfig
             raise ConfigError(f"line {line_no}: expected 'key = value', got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
         apply_override(values, key, value)
-    return TrainConfig(**values)
+    return values
+
+
+def parse_config_text(text: str) -> TrainConfig:
+    """The validated config of flat ``key = value`` lines; see :func:`config_values`."""
+    return TrainConfig(**config_values(text))
 
 
 def apply_override(values: dict, key: str, value: str):
@@ -87,9 +94,9 @@ def apply_override(values: dict, key: str, value: str):
         raise ConfigError(f"bad value for {key!r}: {value!r}") from e
 
 
-def load_config(path, base: TrainConfig | None = None) -> TrainConfig:
+def load_config(path) -> TrainConfig:
     with open(path) as f:
-        return parse_config_text(f.read(), base)
+        return parse_config_text(f.read())
 
 
 def config_defaults_help() -> str:

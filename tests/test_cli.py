@@ -101,6 +101,21 @@ def test_train_rejects_value_that_would_fail_later_before_training(workspace, tm
     assert not out.exists()
 
 
+def test_set_overrides_a_config_file_value_before_it_is_checked(workspace, tmp_path, capsys):
+    _, data, run = workspace
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("dropout = 1.0\n")
+    out = tmp_path / "run"
+    assert main(["train", "--data", str(data), "--out", str(out), "--config", str(bad)]) == 1
+    assert capsys.readouterr().err.startswith("error: dropout must be in [0, 1), got 1.0")
+    assert not out.exists()
+    # TRAIN_SET holds --set dropout=0, which replaces the file's value
+    assert main(["train", "--data", str(data), "--out", str(out), "--config", str(bad)]
+                + TRAIN_SET) == 0
+    assert (out / "checkpoint_last.bin").read_bytes() == \
+        (run / "checkpoint_last.bin").read_bytes()
+
+
 def test_predict_rejects_checkpoint_with_bad_theta_role(workspace, tmp_path, capsys):
     _, data, run = workspace
     arrays, meta = dm.load_tensors(run / "checkpoint_last.bin")

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vidsrl.data_model import ROLE_IDS, ROLES, VISUAL_ROLES
+from vidsrl.data_model import ROLE_IDS, ROLES, VISUAL_ROLES, normalize_caption
 from vidsrl.metrics import (
     EvalReport, box_iou, cider, cider_grouped, cider_scores, evaluate,
     grounding_score, role_prf, rouge_l, verb_accuracy_at_k, verb_recall_at_k,
@@ -323,6 +323,84 @@ def test_cider_matches_brute_force_oracle():
     assert cider(cands, refs) == pytest.approx(np.mean(oracle), abs=1e-6)
 
 
+def oracle_cider_scores(candidates, references):
+    """The per-item definition: document frequencies over each item's
+    references, then every (candidate, reference) pair weighted and compared
+    afresh, with the same operations in the same order as ``cider_scores``."""
+    def grams(toks, n):
+        return Counter(tuple(toks[i:i + n]) for i in range(len(toks) - n + 1))
+
+    def tfidf(toks):
+        vecs, norms = [], []
+        for n in range(1, 5):
+            vec = {g: c * (log_n - math.log(max(1.0, df[g]))) for g, c in grams(toks, n).items()}
+            vecs.append(vec)
+            norms.append(math.sqrt(sum(v * v for v in vec.values())))
+        return vecs, norms
+
+    df = Counter()
+    for refs in references:
+        seen = set()
+        for ref in refs:
+            toks = normalize_caption(ref).split()
+            for n in range(1, 5):
+                seen.update(grams(toks, n).keys())
+        df.update(seen)
+    log_n = math.log(len(candidates))
+    out = []
+    for cand, refs in zip(candidates, references):
+        cand_toks = normalize_caption(cand).split()
+        c_vecs, c_norms = tfidf(cand_toks)
+        total = np.zeros(4)
+        for ref in refs:
+            ref_toks = normalize_caption(ref).split()
+            r_vecs, r_norms = tfidf(ref_toks)
+            penalty = math.exp(-((len(cand_toks) - len(ref_toks)) ** 2) / (2 * 6.0 ** 2))
+            for n in range(4):
+                num = sum(min(c_vecs[n][g], r_vecs[n][g]) * r_vecs[n][g]
+                          for g in c_vecs[n] if g in r_vecs[n])
+                denom = c_norms[n] * r_norms[n]
+                total[n] += penalty * (num / denom if denom > 0 else 0.0)
+        out.append(float(total.mean() / len(refs) * 10.0))
+    return out
+
+
+def oracle_rouge_l(candidate, references, beta=1.2):
+    """ROUGE-L with the LCS from a full integer DP table, per reference."""
+    cand = normalize_caption(candidate).split()
+    best = 0.0
+    for ref in references:
+        ref_toks = normalize_caption(ref).split()
+        if not cand or not ref_toks:
+            continue
+        dp = np.zeros((len(cand) + 1, len(ref_toks) + 1), dtype=np.int64)
+        for i in range(1, len(cand) + 1):
+            for j in range(1, len(ref_toks) + 1):
+                if cand[i - 1] == ref_toks[j - 1]:
+                    dp[i, j] = dp[i - 1, j - 1] + 1
+                else:
+                    dp[i, j] = max(dp[i - 1, j], dp[i, j - 1])
+        lcs = int(dp[-1, -1])
+        if lcs == 0:
+            continue
+        p, r = lcs / len(cand), lcs / len(ref_toks)
+        best = max(best, (1 + beta ** 2) * p * r / (r + beta ** 2 * p))
+    return best
+
+
+def test_scores_on_repeated_captions_equal_the_per_item_oracles_bit_for_bit():
+    # candidates repeat (also ""), references repeat across items, items
+    # repeat whole, and item 0's two references include a candidate of items 0 and 2
+    cands = ["red robot walks home", "", "Red robot  walks home", "the blue cat", "",
+             "blue cat sits", "the blue cat", "a red robot walking"]
+    refs = [["red robot walks home", "a red robot walking"], ["blue cat sits"],
+            ["a red robot walking"], ["blue cat sits", "the blue cat"], ["blue cat sits"],
+            ["small dog"], ["blue cat sits", "the blue cat"], ["a red robot walking"]]
+    assert cider_scores(cands, refs) == oracle_cider_scores(cands, refs)
+    assert [rouge_l(c, r) for c, r in zip(cands, refs)] == \
+        [oracle_rouge_l(c, r) for c, r in zip(cands, refs)]
+
+
 def test_cider_invariant_to_corpus_order():
     cands = ["red robot", "blue cat", "tall tree"]
     refs = [["red robot"], ["blue cat here"], ["a tall tree"]]
@@ -443,6 +521,45 @@ def test_per_role_grounding_is_the_hit_share_of_each_annotated_role():
     assert report.grounding["iou@0.5/Arg0"] == pytest.approx(1 - 1 / counts[ROLE_IDS["Arg0"]])
     assert all(v == 1.0 for key, v in report.grounding.items()
                if key.startswith("iou@0.5/") and key != "iou@0.5/Arg0")
+
+
+def test_evaluate_caption_scores_equal_a_report_built_from_the_per_item_oracles():
+    result = generate(SynthConfig(n_videos=0, n_val=6, n_verbs=6, vocab_size=20,
+                                  d_vid=8, d_obj=8, n_slots=5, seed=36))
+    preds = [oracle_predict(s, result.secrets) for s in result.val]
+    role_preds = [rp for recs in preds for rec in recs for rp in rec.roles]
+    shared = role_preds[0].caption
+    for j, rp in enumerate(role_preds[1:]):  # repeated and empty candidates
+        rp.caption = ("", shared, rp.caption)[j % 3]
+    preds[1][0].roles = preds[1][0].roles[1:]  # a missing prediction scores ""
+    gt_roles = [ev.roles for s in result.val for ev in s.annotation.events]
+    for j, roles in enumerate(gt_roles[::2]):  # references repeated across items
+        k = min(roles)
+        roles[k] = [shared, roles[k][0]] if j % 2 else [shared]
+
+    cands, refs, verbs, role_keys = [], [], [], []
+    for recs, sample in zip(preds, result.val):
+        by_event = {rec.event: {rp.role: rp.caption for rp in rec.roles} for rec in recs}
+        for i, ev in enumerate(sample.annotation.events):
+            for k in sorted(ev.roles):
+                cands.append(by_event.get(i, {}).get(k, ""))
+                refs.append(ev.roles[k])
+                verbs.append(ev.primary_verb)
+                role_keys.append(k)
+    assert len(set(cands)) < len(cands) and "" in cands
+    scores = oracle_cider_scores(cands, refs)
+
+    def group_mean(keys):
+        groups = {}
+        for score, key in zip(scores, keys):
+            groups.setdefault(key, []).append(score)
+        return float(np.mean([float(np.mean(groups[key])) for key in sorted(groups)]))
+
+    srl = {"cider": float(np.mean(scores)) * 10.0, "cider_vb": group_mean(verbs) * 10.0,
+           "cider_arg": group_mean(role_keys) * 10.0,
+           "rouge_l": float(np.mean([oracle_rouge_l(c, r) for c, r in zip(cands, refs)]))}
+    report = evaluate(preds, result.val).to_dict()
+    assert 0.0 < srl["cider"] and report["srl"] == srl
 
 
 def test_evaluate_rejects_empty_predictions():

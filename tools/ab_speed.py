@@ -14,12 +14,14 @@ see the same machine state:
 - predict: one ``pred-pred`` pass of ``predict_situation`` over the suite's
   20 held-out videos with one checkpoint, trained by A for
   ``PREDICT_EPOCHS`` epochs and read by each side's own
-  ``SituationModel.load``.
+  ``SituationModel.load``;
+- evaluate: that side's own ``metrics.evaluate`` on the records its predict
+  pass just made and the 20 held-out videos.
 
 Each side builds the suite with its own generator. Per side and workload it
 prints the median and quartiles (train in videos/s, predict in ms per
-video), the pairs that side won and the minor page faults
-(``ru_minflt``) per video. Both trees share one allocator and one heap, so
+video, evaluate in ms per call), the pairs that side won and the minor
+page faults (``ru_minflt``) per video. Both trees share one allocator and one heap, so
 their page-fault counts differ from those of separate runs: compare them
 with each other, not with a benchmark run. This is a measuring aid, not a
 gate. Usage, from the root of a checkout:
@@ -55,7 +57,7 @@ def import_side(checkout: str, name: str, tmp: str) -> dict:
         raise SystemExit(f"no vidsrl package under {checkout}/src")
     shutil.copytree(src, os.path.join(tmp, name), ignore=shutil.ignore_patterns("__pycache__"))
     return {mod: importlib.import_module(f"{name}.{mod}")
-            for mod in ("synth", "training", "srl")}
+            for mod in ("synth", "training", "srl", "metrics")}
 
 
 def minflt() -> int:
@@ -66,13 +68,18 @@ class Side:
     def __init__(self, label: str, modules: dict, cfg_path: str, out: str):
         self.label, self.out = label, out
         self.synth, self.training, self.srl = modules["synth"], modules["training"], modules["srl"]
+        self.metrics = modules["metrics"]
         suite = self.synth.SynthConfig(n_videos=50, n_val=20, n_verbs=20, vocab_size=50,
                                        d_vid=64, d_obj=64, n_slots=15, noise=0.1, seed=7)
         self.data = self.synth.generate(suite)
         self.cfg = replace(self.training.load_config(cfg_path), epochs=1)
         self.model = None
-        self.rates = {"train": [], "predict": []}
-        self.faults = {"train": [], "predict": []}
+        self.records = None
+        self.reset()
+
+    def reset(self):
+        self.rates = {"train": [], "predict": [], "evaluate": []}
+        self.faults = {"train": [], "predict": [], "evaluate": []}
 
     def train_epoch(self):
         videos = len(self.data.train)
@@ -84,10 +91,16 @@ class Side:
     def predict_pass(self):
         videos = len(self.data.val)
         f0, t0 = minflt(), time.perf_counter()
-        for sample in self.data.val:
-            self.model.predict_situation(sample, regime="pred-pred")
+        self.records = [self.model.predict_situation(sample, regime="pred-pred")
+                        for sample in self.data.val]
         self.rates["predict"].append(1e3 * (time.perf_counter() - t0) / videos)
         self.faults["predict"].append((minflt() - f0) / videos)
+
+    def evaluate_pass(self):
+        f0, t0 = minflt(), time.perf_counter()
+        self.metrics.evaluate(self.records, self.data.val)
+        self.rates["evaluate"].append(1e3 * (time.perf_counter() - t0))
+        self.faults["evaluate"].append((minflt() - f0) / len(self.data.val))
 
 
 def summary(side: Side, other: Side, workload: str, unit: str, higher: bool) -> str:
@@ -119,13 +132,15 @@ def main(argv=None):
             side.model = side.srl.SituationModel.load(os.path.join(ckpt_dir, "checkpoint_last.bin"))
             side.train_epoch()  # warm-up, not counted
             side.predict_pass()
-            side.rates = {"train": [], "predict": []}
-            side.faults = {"train": [], "predict": []}
+            side.evaluate_pass()
+            side.reset()
         for i in range(args.pairs):
             for side in (sides if i % 2 == 0 else sides[::-1]):
                 side.train_epoch()
                 side.predict_pass()
-        for workload, unit, higher in (("train", "videos/s", True), ("predict", "ms/video", False)):
+                side.evaluate_pass()
+        for workload, unit, higher in (("train", "videos/s", True), ("predict", "ms/video", False),
+                                       ("evaluate", "ms/call", False)):
             for side, other in (sides, sides[::-1]):
                 print(summary(side, other, workload, unit, higher))
 

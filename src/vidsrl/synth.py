@@ -23,6 +23,7 @@ from .data_model import (
     SituationAnnotation, VerbLexicon, VideoSample,
     annotation_to_dict, build_frame_schedule, write_feature_file,
 )
+from .encoder import ConfigError
 from .srl import GroundingPrediction, PredictionRecord, RolePrediction
 
 VERB_NAMES = (
@@ -61,6 +62,24 @@ class SynthConfig:
     seed: int = 0
     border_plants: bool = False   # plant entities on shared border frames
     long_tail: bool = False       # Zipf verb frequencies instead of uniform
+
+    def __post_init__(self):
+        for key, least in (("n_videos", 0), ("n_val", 0), ("seed", 0), ("n_verbs", 1),
+                           ("d_vid", 1)):
+            if getattr(self, key) < least:
+                raise ConfigError(f"{key} must be >= {least}, got {getattr(self, key)}")
+        for key in ("fps", "duration"):
+            if not getattr(self, key) > 0:
+                raise ConfigError(f"{key} must be > 0, got {getattr(self, key)}")
+        if not self.noise >= 0:
+            raise ConfigError(f"noise must be >= 0, got {self.noise}")
+        if self.n_slots < 2:  # Arg0 and at least one more role entity per frame
+            raise ConfigError(f"n_slots={self.n_slots} leaves no room for role entities per frame")
+        if self.vocab_size < len(FILLER_NAMES) + 2:
+            raise ConfigError(f"vocab size {self.vocab_size} too small "
+                              f"(need >= {len(FILLER_NAMES) + 2})")
+        if min(_subspace_dims(self.d_obj)[1:]) < 2:
+            raise ConfigError(f"d_obj={self.d_obj} too small for subspace prototypes")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -126,8 +145,6 @@ class SynthResult:
 
 def _word_partition(vocab_size: int):
     n_fill = len(FILLER_NAMES)
-    if vocab_size < n_fill + 2:
-        raise ValueError(f"vocab size {vocab_size} too small (need >= {n_fill + 2})")
     n_attr = max(1, round((vocab_size - n_fill) * 0.4))
     n_noun = vocab_size - n_fill - n_attr
     nouns = [NOUN_NAMES[i] if i < len(NOUN_NAMES) else f"noun{i}" for i in range(n_noun)]
@@ -148,18 +165,20 @@ def _unit_rows(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
     return (m / np.linalg.norm(m, axis=1, keepdims=True)).astype(np.float32)
 
 
+def _subspace_dims(d_obj: int) -> tuple[int, int, int]:
+    """Widths of the role, noun and attribute subspaces of the object space."""
+    role_dim = max(2, d_obj // 4)
+    rest = d_obj - role_dim
+    return role_dim, (rest + 1) // 2, rest - (rest + 1) // 2
+
+
 class _Prototypes:
     """Verb prototypes over the event space; role/noun/attribute prototypes in
     disjoint subspaces of the object space (nearest-prototype recoverable)."""
 
     def __init__(self, cfg: SynthConfig, nouns: list[str], attrs: list[str],
                  rng: np.random.Generator):
-        self.role_dim = max(2, cfg.d_obj // 4)
-        rest = cfg.d_obj - self.role_dim
-        self.noun_dim = (rest + 1) // 2
-        self.attr_dim = rest - self.noun_dim
-        if self.noun_dim < 2 or self.attr_dim < 2:
-            raise ValueError(f"d_obj={cfg.d_obj} too small for subspace prototypes")
+        self.role_dim, self.noun_dim, self.attr_dim = _subspace_dims(cfg.d_obj)
         self.verb = _unit_rows(rng, cfg.n_verbs, cfg.d_vid)
         self.role = _unit_rows(rng, len(ROLES), self.role_dim)
         self.noun = _unit_rows(rng, len(nouns), self.noun_dim)
@@ -176,8 +195,6 @@ class _Prototypes:
 def _build_lexicon(cfg: SynthConfig, rng: np.random.Generator) -> VerbLexicon:
     verbs = [VERB_NAMES[i] if i < len(VERB_NAMES) else f"verb{i}" for i in range(cfg.n_verbs)]
     max_extra = min(4, cfg.n_slots - 1, len(ROLES) - 1)
-    if max_extra < 1:
-        raise ValueError(f"n_slots={cfg.n_slots} leaves no room for role entities per frame")
     role_map = {}
     others = [r for r in range(len(ROLES)) if r != 0]
     for v in range(cfg.n_verbs):
@@ -196,16 +213,38 @@ def _planted_box(role: int, rng: np.random.Generator) -> tuple[float, float, flo
     return (round(x1, 2), round(y1, 2), round(x1 + 120.0 + jw, 2), round(y1 + 80.0 + jh, 2))
 
 
-def _distractor_box(rng: np.random.Generator) -> tuple[float, float, float, float]:
-    x1 = rng.uniform(0, FRAME_W - 60)
-    y1 = rng.uniform(0, FRAME_H - 60)
-    w = rng.uniform(20, 55)
-    h = rng.uniform(20, 55)
-    return (round(x1, 2), round(y1, 2), round(x1 + w, 2), round(y1 + h, 2))
+def _distractor_boxes(rng: np.random.Generator, n: int) -> np.ndarray:
+    """(n, 4) float64 array of x1, y1, x2, y2 distractor boxes, rounded to
+    two decimals. One ``uniform`` call draws the same doubles, in the same
+    order, as n scalar draws of x1, y1, w, h, box after box."""
+    x1y1wh = rng.uniform([0, 0, 20, 20], [FRAME_W - 60, FRAME_H - 60, 55, 55], (n, 4))
+    corners = x1y1wh[:, :2]
+    return _round2(np.concatenate([corners, corners + x1y1wh[:, 2:]], axis=1))
+
+
+def _round2(x: np.ndarray) -> np.ndarray:
+    """``round(v, 2)`` of every element, bit for bit, for |v| below 1e7.
+
+    There ``100 * v`` is off by less than 1e-6, so where it lies further than
+    that from a half-integer, ``rint`` picks the integer k that Python's
+    correctly rounded ``round`` picks, and ``k / 100`` is the double nearest
+    k/100, which ``round`` returns too. Nearer a tie the exact decimal value
+    decides (``np.round(0.005, 2)`` is 0.0 where ``round`` gives 0.01), so
+    those elements take ``round`` itself.
+    """
+    scaled = 100.0 * x
+    out = np.rint(scaled) / 100.0
+    for i in np.flatnonzero(np.abs(scaled - np.floor(scaled) - 0.5) < 1e-6):
+        out.flat[i] = round(float(x.flat[i]), 2)
+    return out
 
 
 def generate(cfg: SynthConfig) -> SynthResult:
-    """Generate train and validation splits plus the lexicon and secrets."""
+    """Generate train and validation splits plus the lexicon and secrets.
+
+    Each video's distractor boxes come from one ``uniform`` call over all
+    its frames and slots, which draws the same numbers in the same order as
+    one scalar draw per box coordinate, box after box."""
     ss = np.random.SeedSequence(cfg.seed)
     global_rng = np.random.default_rng(ss.spawn(1)[0])
     nouns, attrs = _word_partition(cfg.vocab_size)
@@ -245,8 +284,7 @@ def generate(cfg: SynthConfig) -> SynthResult:
 
         object_features = (cfg.noise * rng.standard_normal(
             (n_frames, cfg.n_slots, cfg.d_obj))).astype(np.float32)
-        boxes = np.array([[_distractor_box(rng) for _ in range(cfg.n_slots)]
-                          for _ in range(n_frames)])
+        boxes = _distractor_boxes(rng, n_frames * cfg.n_slots).reshape(n_frames, cfg.n_slots, 4)
 
         noun_perm = rng.permutation(len(nouns))
         attr_perm = rng.permutation(len(attrs))
@@ -328,9 +366,10 @@ def _write_sample(out_dir, sample: VideoSample) -> dict:
     boxes_path = f"features/{vid}.boxes.json"
     write_feature_file(os.path.join(out_dir, ev_path), sample.event_features)
     write_feature_file(os.path.join(out_dir, obj_path), sample.object_features)
+    # json.dumps without indent takes the C encoder; json.dump(obj, f) never does
     with open(os.path.join(out_dir, boxes_path), "w") as f:
-        json.dump({"width": sample.width, "height": sample.height,
-                   "boxes": sample.boxes.tolist()}, f, sort_keys=True)
+        f.write(json.dumps({"width": sample.width, "height": sample.height,
+                            "boxes": sample.boxes.tolist()}, sort_keys=True))
 
     record = {
         "id": vid,
@@ -345,7 +384,7 @@ def _write_sample(out_dir, sample: VideoSample) -> dict:
     if sample.annotation.grounding is not None:
         g_path = f"grounding/{vid}.json"
         with open(os.path.join(out_dir, g_path), "w") as f:
-            json.dump(sample.annotation.grounding.to_dict(), f, sort_keys=True)
+            f.write(json.dumps(sample.annotation.grounding.to_dict(), sort_keys=True))
         record["grounding"] = g_path
     return record
 

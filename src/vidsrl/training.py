@@ -57,9 +57,15 @@ class TrainConfig(ArchConfig):
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
 
 
+def _parse_bool(text: str) -> bool:
+    word = text.lower()
+    if word not in ("1", "true", "yes", "0", "false", "no"):
+        raise ValueError(f"not a boolean: {text!r}")
+    return word in ("1", "true", "yes")
+
+
 # Exact config file surface: every TrainConfig field, parsed by its declared type
-_PARSERS = {"int": int, "float": float, "str": str,
-            "bool": lambda s: s.lower() in ("1", "true", "yes")}
+_PARSERS = {"int": int, "float": float, "str": str, "bool": _parse_bool}
 CONFIG_KEYS = {f.name: _PARSERS[f.type] for f in fields(TrainConfig)}
 
 

@@ -54,6 +54,18 @@ def test_synth_idempotent(tmp_path):
     assert digest(a) == digest(b)
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--m", "1"], "error: n_slots=1 leaves no room for role entities per frame"),
+    (["--n-videos", "-1"], "error: n_videos must be >= 0, got -1"),
+])
+def test_synth_rejects_out_of_range_flag_without_writing(tmp_path, capsys, flags, message):
+    out = tmp_path / "data"
+    assert main(["synth", "--out", str(out)] + flags) == 1
+    captured = capsys.readouterr()
+    assert captured.err.strip() == message and captured.out == ""
+    assert not out.exists()
+
+
 def test_help_exits_zero_and_lists_config_keys(capsys):
     assert main(["--help"]) == 0
     out = capsys.readouterr().out
@@ -114,6 +126,17 @@ def test_set_overrides_a_config_file_value_before_it_is_checked(workspace, tmp_p
                 + TRAIN_SET) == 0
     assert (out / "checkpoint_last.bin").read_bytes() == \
         (run / "checkpoint_last.bin").read_bytes()
+
+
+def test_misspelt_boolean_fails_from_a_config_file_and_from_set(workspace, tmp_path, capsys):
+    _, data, _ = workspace
+    typo = tmp_path / "typo.cfg"
+    typo.write_text("degrade_objects = ture\n")
+    out = tmp_path / "run"
+    for source in (["--config", str(typo)], ["--set", "degrade_objects=ture"]):
+        assert main(["train", "--data", str(data), "--out", str(out)] + TRAIN_SET + source) == 1
+        assert capsys.readouterr().err == "error: bad value for 'degrade_objects': 'ture'\n"
+        assert not out.exists()
 
 
 def test_predict_rejects_checkpoint_with_bad_theta_role(workspace, tmp_path, capsys):

@@ -8,9 +8,11 @@ import numpy as np
 import pytest
 
 from vidsrl.data_model import VISUAL_ROLES, build_vocabulary, caption_corpus, validate_sample
+from vidsrl.encoder import ConfigError
 from vidsrl.metrics import cider, cider_scores, evaluate
 from vidsrl.synth import (
-    SynthConfig, generate, load_secrets, oracle_predict, write_dataset,
+    FRAME_H, FRAME_W, SynthConfig, _distractor_boxes, _round2, generate, load_secrets,
+    oracle_predict, write_dataset,
 )
 
 
@@ -137,6 +139,77 @@ def test_infeasible_config_rejected():
         generate(SynthConfig(n_videos=1, n_slots=1, seed=0))
     with pytest.raises(ValueError, match="vocab size"):
         generate(SynthConfig(n_videos=1, vocab_size=3, seed=0))
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("n_videos", -1, "n_videos must be >= 0, got -1"),
+    ("n_val", -2, "n_val must be >= 0, got -2"),
+    ("seed", -1, "seed must be >= 0, got -1"),
+    ("n_verbs", 0, "n_verbs must be >= 1, got 0"),
+    ("d_vid", 0, "d_vid must be >= 1, got 0"),
+    ("fps", 0.0, "fps must be > 0, got 0.0"),
+    ("duration", -1.0, "duration must be > 0, got -1.0"),
+    ("noise", -0.1, "noise must be >= 0, got -0.1"),
+    ("noise", float("nan"), "noise must be >= 0, got nan"),
+    ("n_slots", 1, "n_slots=1 leaves no room for role entities per frame"),
+    ("vocab_size", 4, "vocab size 4 too small (need >= 5)"),
+    ("d_obj", 5, "d_obj=5 too small for subspace prototypes"),
+])
+def test_config_out_of_range_fails_naming_the_field(key, value, message):
+    with pytest.raises(ConfigError) as info:
+        SynthConfig(**{key: value})
+    assert str(info.value) == message
+
+
+def test_smallest_legal_config_values_generate():
+    cfg = SynthConfig(n_videos=0, n_val=0, n_verbs=1, d_vid=1, d_obj=6, n_slots=2,
+                      vocab_size=5, noise=0.0, seed=0)
+    assert generate(cfg).all_samples == []
+    small = generate(SynthConfig(n_videos=1, n_verbs=1, d_vid=1, d_obj=6, n_slots=2,
+                                 vocab_size=5, noise=0.0))
+    assert validate_sample(small.train[0], small.lexicon) == []
+
+
+# -- distractor boxes: one bulk draw against the per-box scalar draws -----------------
+
+
+def oracle_distractor_boxes(rng, n_frames, n_slots):
+    """The per-box loop the bulk draw replaced: (x1, y1, w, h) as four scalar
+    draws per box, and Python's ``round`` on each coordinate."""
+    def box():
+        x1 = rng.uniform(0, FRAME_W - 60)
+        y1 = rng.uniform(0, FRAME_H - 60)
+        w = rng.uniform(20, 55)
+        h = rng.uniform(20, 55)
+        return (round(x1, 2), round(y1, 2), round(x1 + w, 2), round(y1 + h, 2))
+    return np.array([[box() for _ in range(n_slots)] for _ in range(n_frames)])
+
+
+@pytest.mark.parametrize("n_frames, n_slots", [(1, 2), (11, 15), (21, 7), (40, 30)])
+def test_bulk_distractor_draw_equals_per_box_draws_and_leaves_the_same_stream(n_frames,
+                                                                              n_slots):
+    for seed in range(5):
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        want = oracle_distractor_boxes(a, n_frames, n_slots)
+        got = _distractor_boxes(b, n_frames * n_slots).reshape(n_frames, n_slots, 4)
+        assert got.dtype == np.float64
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+        assert a.random() == b.random()
+
+
+def test_round2_equals_python_round_bit_for_bit_near_every_tie():
+    ties = (np.arange(64000) + 0.5) / 100  # every (k + 0.5) / 100 below 640
+    values = np.concatenate([
+        [0.005, 0.015, 0.115],  # where rint(100 * v) / 100 alone disagrees with round
+        ties, np.nextafter(ties, np.inf), np.nextafter(ties, -np.inf),
+        ties + 1e-7, ties - 1e-7, ties + 2e-6, ties - 2e-6,
+    ])
+    values = np.concatenate([values, -values])
+    want = np.array([round(v, 2) for v in values.tolist()])
+    got = _round2(values)
+    mismatched = np.flatnonzero(got.view(np.int64) != want.view(np.int64))
+    assert mismatched.size == 0, values[mismatched[:5]]
+    assert _round2(np.array([0.005, 0.015, 0.115])).tolist() == [0.01, 0.01, 0.12]
 
 
 def test_oracle_predictions_score_perfectly():

@@ -371,6 +371,19 @@ def test_config_rejects_bad_values():
         parse_config_text("verb_loss_mode = focal\nfocal_gamma = -1")
 
 
+@pytest.mark.parametrize("text, value", [("1", True), ("true", True), ("Yes", True),
+                                         ("TRUE", True), ("0", False), ("false", False),
+                                         ("No", False), ("FALSE", False)])
+def test_config_boolean_words(text, value):
+    assert parse_config_text(f"degrade_objects = {text}").degrade_objects is value
+
+
+@pytest.mark.parametrize("text", ["ture", "2", "on", "y"])
+def test_config_rejects_a_word_that_is_not_a_boolean(text):
+    with pytest.raises(ConfigError, match=f"bad value for 'degrade_objects': '{text}'"):
+        parse_config_text(f"degrade_objects = {text}")
+
+
 @pytest.mark.parametrize("theta", [0.0, 1.0, 1.5, -0.2])
 def test_config_rejects_theta_role_outside_the_open_unit_interval(theta):
     with pytest.raises(ConfigError, match=r"theta_role must be in \(0, 1\)"):

@@ -1,4 +1,4 @@
-"""In-process A/B timer: training and prediction speed of two vidsrl checkouts.
+"""In-process A/B timer: training, prediction, evaluation and set-up speed of two vidsrl checkouts.
 
 Separate benchmark runs of one commit spread by about +-15% on a small,
 shared machine, which hides a gain of that size. This script imports
@@ -16,15 +16,14 @@ see the same machine state:
   ``PREDICT_EPOCHS`` epochs and read by each side's own
   ``SituationModel.load``;
 - evaluate: that side's own ``metrics.evaluate`` on the records its predict
-  pass just made and the 20 held-out videos.
+  pass just made and the 20 held-out videos;
+- setup: that side's own ``generate`` of the suite, ``write_dataset`` into
+  a temp dir and ``load_dataset_dir`` of both splits.
 
 Each side builds the suite with its own generator. Per side and workload it
 prints the median and quartiles (train in videos/s, predict in ms per
-video, evaluate in ms per call), the pairs that side won and the minor
-page faults (``ru_minflt``) per video. Both trees share one allocator and one heap, so
-their page-fault counts differ from those of separate runs: compare them
-with each other, not with a benchmark run. This is a measuring aid, not a
-gate. Usage, from the root of a checkout:
+video, evaluate and setup in ms per call) and the pairs that side won.
+This is a measuring aid, not a gate. Usage, from the root of a checkout:
 
     python3 tools/ab_speed.py A_CHECKOUT [B_CHECKOUT] [--pairs 10]
 
@@ -35,7 +34,6 @@ thread, as in the benchmark.
 import argparse
 import importlib
 import os
-import resource
 import shutil
 import statistics
 import sys
@@ -57,50 +55,57 @@ def import_side(checkout: str, name: str, tmp: str) -> dict:
         raise SystemExit(f"no vidsrl package under {checkout}/src")
     shutil.copytree(src, os.path.join(tmp, name), ignore=shutil.ignore_patterns("__pycache__"))
     return {mod: importlib.import_module(f"{name}.{mod}")
-            for mod in ("synth", "training", "srl", "metrics")}
-
-
-def minflt() -> int:
-    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            for mod in ("synth", "training", "srl", "metrics", "data_model")}
 
 
 class Side:
     def __init__(self, label: str, modules: dict, cfg_path: str, out: str):
         self.label, self.out = label, out
         self.synth, self.training, self.srl = modules["synth"], modules["training"], modules["srl"]
-        self.metrics = modules["metrics"]
-        suite = self.synth.SynthConfig(n_videos=50, n_val=20, n_verbs=20, vocab_size=50,
-                                       d_vid=64, d_obj=64, n_slots=15, noise=0.1, seed=7)
-        self.data = self.synth.generate(suite)
+        self.metrics, self.data_model = modules["metrics"], modules["data_model"]
+        self.suite = self.synth.SynthConfig(n_videos=50, n_val=20, n_verbs=20, vocab_size=50,
+                                            d_vid=64, d_obj=64, n_slots=15, noise=0.1, seed=7)
+        self.data = self.synth.generate(self.suite)
         self.cfg = replace(self.training.load_config(cfg_path), epochs=1)
         self.model = None
         self.records = None
         self.reset()
 
     def reset(self):
-        self.rates = {"train": [], "predict": [], "evaluate": []}
-        self.faults = {"train": [], "predict": [], "evaluate": []}
+        self.rates = {"train": [], "predict": [], "evaluate": [], "setup": []}
 
     def train_epoch(self):
         videos = len(self.data.train)
-        f0, t0 = minflt(), time.perf_counter()
+        t0 = time.perf_counter()
         self.training.train(self.data.train, self.data.lexicon, self.cfg, self.out)
         self.rates["train"].append(videos / (time.perf_counter() - t0))
-        self.faults["train"].append((minflt() - f0) / videos)
 
     def predict_pass(self):
         videos = len(self.data.val)
-        f0, t0 = minflt(), time.perf_counter()
+        t0 = time.perf_counter()
         self.records = [self.model.predict_situation(sample, regime="pred-pred")
                         for sample in self.data.val]
         self.rates["predict"].append(1e3 * (time.perf_counter() - t0) / videos)
-        self.faults["predict"].append((minflt() - f0) / videos)
 
     def evaluate_pass(self):
-        f0, t0 = minflt(), time.perf_counter()
+        t0 = time.perf_counter()
         self.metrics.evaluate(self.records, self.data.val)
         self.rates["evaluate"].append(1e3 * (time.perf_counter() - t0))
-        self.faults["evaluate"].append((minflt() - f0) / len(self.data.val))
+
+    def setup_pass(self):
+        data_dir = self.out + "_data"
+        t0 = time.perf_counter()
+        self.synth.write_dataset(data_dir, self.synth.generate(self.suite))
+        for split in ("train", "val"):
+            self.data_model.load_dataset_dir(data_dir, split)
+        self.rates["setup"].append(1e3 * (time.perf_counter() - t0))
+        shutil.rmtree(data_dir)
+
+    def run_all(self):
+        self.train_epoch()
+        self.predict_pass()
+        self.evaluate_pass()
+        self.setup_pass()
 
 
 def summary(side: Side, other: Side, workload: str, unit: str, higher: bool) -> str:
@@ -108,8 +113,7 @@ def summary(side: Side, other: Side, workload: str, unit: str, higher: bool) -> 
     q1, med, q3 = statistics.quantiles(mine, n=4, method="inclusive")
     wins = sum((a > b) == higher and a != b for a, b in zip(mine, theirs))
     return (f"{workload:<8} {side.label}  median {med:8.2f} {unit:<9} "
-            f"quartiles [{q1:.2f}-{q3:.2f}]  won {wins}/{len(mine)}  "
-            f"minflt/video {statistics.median(side.faults[workload]):.0f}")
+            f"quartiles [{q1:.2f}-{q3:.2f}]  won {wins}/{len(mine)}")
 
 
 def main(argv=None):
@@ -130,17 +134,13 @@ def main(argv=None):
                          replace(a.cfg, epochs=PREDICT_EPOCHS), ckpt_dir)
         for side in sides:
             side.model = side.srl.SituationModel.load(os.path.join(ckpt_dir, "checkpoint_last.bin"))
-            side.train_epoch()  # warm-up, not counted
-            side.predict_pass()
-            side.evaluate_pass()
+            side.run_all()  # warm-up, not counted
             side.reset()
         for i in range(args.pairs):
             for side in (sides if i % 2 == 0 else sides[::-1]):
-                side.train_epoch()
-                side.predict_pass()
-                side.evaluate_pass()
+                side.run_all()
         for workload, unit, higher in (("train", "videos/s", True), ("predict", "ms/video", False),
-                                       ("evaluate", "ms/call", False)):
+                                       ("evaluate", "ms/call", False), ("setup", "ms/call", False)):
             for side, other in (sides, sides[::-1]):
                 print(summary(side, other, workload, unit, higher))
 

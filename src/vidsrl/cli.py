@@ -176,7 +176,10 @@ def _decode_steps(records, max_caption_len: int) -> int:
 def cmd_eval(args) -> int:
     samples, _ = load_dataset_dir(args.data, split=args.split)
     predictions = read_predictions(args.predictions)
-    report = evaluate(predictions, samples, strict_grounding=args.strict_grounding)
+    try:
+        report = evaluate(predictions, samples, strict_grounding=args.strict_grounding)
+    except DatasetError as e:
+        raise DatasetError(f"{args.predictions}: {e}") from e
     print(report.table())
     if args.out:
         with open(args.out, "w") as f:

@@ -18,13 +18,14 @@ from itertools import chain
 
 import numpy as np
 
-from .data_model import ROLES, VISUAL_ROLES, VideoSample, normalize_caption
+from .data_model import ROLES, VISUAL_ROLES, DatasetError, VideoSample, normalize_caption
 from .srl import PredictionRecord
 
 CIDER_N = 4
 CIDER_SIGMA = 6.0
 ROUGE_BETA = 1.2
 ROLE_GROUNDING_THETA = 0.5  # the theta of the per-role grounding entries
+NO_VERBS = (-1,) * 5  # the ranked verbs of an event without a prediction
 
 
 # -- boxes and grounding ---------------------------------------------------
@@ -47,55 +48,46 @@ def box_iou(a, b) -> float:
     return inter / (area_a + area_b - inter)
 
 
-def role_grounding_hits(preds: dict[tuple[int, int], object], sample: VideoSample,
-                        theta: float, roles_eval: tuple[int, ...] = VISUAL_ROLES):
-    """Per event of one video, a (role, hit) pair for each evaluated role
-    that has an annotation, in role order.
-
-    A role hits iff its predicted frame is a key of the annotation
-    dictionary AND the predicted box overlaps the annotated box at that
-    frame by strictly more than theta.
-    """
-    gdict = sample.annotation.grounding
-    per_event = []
-    for i, ev in enumerate(sample.annotation.events):
-        hits = []
-        for k in sorted(ev.roles):
-            frames = {} if gdict is None or k not in roles_eval else gdict.boxes_for(i, k)
-            if frames:
-                pred = preds.get((i, k))
-                hits.append((k, pred is not None and pred.frame in frames
-                             and box_iou(pred.box, frames[pred.frame]) > theta))
-        per_event.append(hits)
-    return per_event
+def _role_iou(pred, frames) -> float | None:
+    """IoU of a predicted grounding with the annotated box at its frame, or
+    None when there is no prediction or its frame is not a key of ``frames``
+    (a miss at every theta)."""
+    if pred is None or pred.frame not in frames:
+        return None
+    return box_iou(pred.box, frames[pred.frame])
 
 
-def event_grounding_scores(events, per_event_hits, strict: bool = False):
-    """Per-event grounding scores from :func:`role_grounding_hits`.
-
-    Events average over their annotated evaluated roles (strict mode instead
-    normalizes by all ground-truth roles of the event). Returns (per-event
-    score list, skipped event count); events with no annotated evaluated
-    role are excluded.
-    """
-    scores = []
-    skipped = 0
-    for ev, hits in zip(events, per_event_hits):
-        if not hits:
-            skipped += 1
-            continue
-        denom = len(ev.roles) if strict else len(hits)
-        scores.append(sum(1.0 for _, hit in hits if hit) / denom)
-    return scores, skipped
+def _hit_share(ious: list[tuple[int, float | None]], theta: float, denom: int) -> float:
+    """Share of an event's annotated roles whose IoU is strictly above theta."""
+    return sum(1.0 for _, iou in ious if iou is not None and iou > theta) / denom
 
 
 def grounding_score(preds: dict[tuple[int, int], object], sample: VideoSample,
                     theta: float, roles_eval: tuple[int, ...] = VISUAL_ROLES,
                     strict: bool = False):
-    """Per-event grounding scores for one video at theta; see
-    :func:`role_grounding_hits` and :func:`event_grounding_scores`."""
-    return event_grounding_scores(sample.annotation.events,
-                                  role_grounding_hits(preds, sample, theta, roles_eval), strict)
+    """Per-event grounding scores for one video at theta.
+
+    A role hits iff its predicted frame is a key of the annotation
+    dictionary AND the predicted box overlaps the annotated box at that
+    frame by strictly more than theta. Events average over their annotated
+    evaluated roles (strict mode instead normalizes by all ground-truth
+    roles of the event). Returns (per-event score list, skipped event
+    count); events with no annotated evaluated role are excluded.
+    """
+    gdict = sample.annotation.grounding
+    scores = []
+    skipped = 0
+    for i, ev in enumerate(sample.annotation.events):
+        ious = []
+        for k in sorted(ev.roles):
+            frames = {} if gdict is None or k not in roles_eval else gdict.boxes_for(i, k)
+            if frames:
+                ious.append((k, _role_iou(preds.get((i, k)), frames)))
+        if not ious:
+            skipped += 1
+            continue
+        scores.append(_hit_share(ious, theta, len(ev.roles) if strict else len(ious)))
+    return scores, skipped
 
 
 # -- verb metrics ------------------------------------------------------------
@@ -108,20 +100,20 @@ def _topk(logits: np.ndarray, k: int) -> np.ndarray:
 
 def _ranked_accuracy(ranked, gt_verb_sets: list[set[int]]) -> float:
     """Share of events with a ground-truth verb among their ranked verb ids."""
-    hits = [bool(set(row.tolist()) & set(gt)) for row, gt in zip(ranked, gt_verb_sets)]
+    hits = [not set(gt).isdisjoint(row) for row, gt in zip(ranked, gt_verb_sets)]
     return float(np.mean(hits))
 
 
 def _ranked_recall(ranked, gt_verb_sets: list[set[int]]) -> float:
     """Macro-averaged per-class recall of the ranked verb ids over classes
-    appearing in ground truth."""
-    classes = sorted(set().union(*[set(g) for g in gt_verb_sets]))
-    recalls = []
-    for c in classes:
-        events = [i for i, g in enumerate(gt_verb_sets) if c in g]
-        got = sum(1 for i in events if c in ranked[i])
-        recalls.append(got / len(events))
-    return float(np.mean(recalls))
+    appearing in ground truth, counted in one pass over the events."""
+    events, got = Counter(), Counter()
+    for row, gt in zip(ranked, gt_verb_sets):
+        for c in gt:
+            events[c] += 1
+            if c in row:
+                got[c] += 1
+    return float(np.mean([got[c] / events[c] for c in sorted(events)]))
 
 
 def verb_accuracy_at_k(pred_logits: np.ndarray, gt_verb_sets: list[set[int]], k: int) -> float:
@@ -137,54 +129,78 @@ def verb_recall_at_k(pred_logits: np.ndarray, gt_verb_sets: list[set[int]], k: i
 
 def role_prf(pred_role_sets: list[set[int]], gt_role_sets: list[set[int]]):
     """Per-role precision/recall/F1 over events plus the macro-F1 (the
-    unweighted mean of F1 over roles present in ground truth)."""
+    unweighted mean of F1 over roles present in ground truth); the counts
+    come from one pass over the events."""
+    tp, fp, fn = Counter(), Counter(), Counter()
+    for p, g in zip(pred_role_sets, gt_role_sets):
+        for r in p:
+            if r in g:
+                tp[r] += 1
+            else:
+                fp[r] += 1
+        for r in g:
+            if r not in p:
+                fn[r] += 1
     per_role = {}
-    present = set().union(*[set(g) for g in gt_role_sets]) if gt_role_sets else set()
     for r in range(len(ROLES)):
-        tp = sum(1 for p, g in zip(pred_role_sets, gt_role_sets) if r in p and r in g)
-        fp = sum(1 for p, g in zip(pred_role_sets, gt_role_sets) if r in p and r not in g)
-        fn = sum(1 for p, g in zip(pred_role_sets, gt_role_sets) if r not in p and r in g)
-        prec = tp / (tp + fp) if tp + fp else 0.0
-        rec = tp / (tp + fn) if tp + fn else 0.0
+        prec = tp[r] / (tp[r] + fp[r]) if tp[r] + fp[r] else 0.0
+        rec = tp[r] / (tp[r] + fn[r]) if tp[r] + fn[r] else 0.0
         f1 = 2 * prec * rec / (prec + rec) if prec + rec else 0.0
         per_role[r] = (prec, rec, f1)
+    present = set().union(*gt_role_sets)
     macro = float(np.mean([per_role[r][2] for r in sorted(present)])) if present else 0.0
     return per_role, macro
 
 
 # -- caption consensus (clipped TF-IDF n-gram cosine) -------------------------
 
-
-def _ngram_counts(tokens: list[str], n: int) -> Counter:
-    return Counter(tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
+Item = tuple[str, tuple[str, ...]]  # (candidate, references)
 
 
-def _caption_ngrams(caption: str) -> tuple[int, list[Counter]]:
-    """Token count and n-gram counts (n = 1..CIDER_N) of a normalized caption."""
-    toks = normalize_caption(caption).split()
-    return len(toks), [_ngram_counts(toks, n) for n in range(1, CIDER_N + 1)]
+def _tokenize(items: list[Item]) -> dict[str, list[str]]:
+    """The normalized tokens of each distinct caption of ``items``."""
+    return {caption: normalize_caption(caption).split()
+            for caption in dict.fromkeys(chain.from_iterable((cand, *refs)
+                                                             for cand, refs in items))}
 
 
-def _doc_freq(references: list[list[str]], ngrams: dict[str, tuple[int, list[Counter]]]):
+def _caption_ngrams(tokens: list[str]) -> list[dict[tuple[str, ...], int]]:
+    """Counts of the n-grams of a token list for n = 1..CIDER_N, each in
+    first-occurrence order."""
+    out = []
+    for n in range(1, CIDER_N + 1):
+        counts: dict[tuple[str, ...], int] = {}
+        for i in range(len(tokens) - n + 1):
+            gram = tuple(tokens[i:i + n])
+            counts[gram] = counts.get(gram, 0) + 1
+        out.append(counts)
+    return out
+
+
+def _doc_freq(items: list[Item], ngrams: dict[str, list[dict]]) -> dict[tuple, int]:
     """Document frequency of every n-gram over the reference corpus, one
-    document per item; ``ngrams`` maps each reference to its
-    :func:`_caption_ngrams`."""
-    df = Counter()
-    for refs in references:
+    document per item: each distinct reference set is read once and counts
+    as many documents as the items that share it."""
+    df: dict[tuple, int] = {}
+    for refs, m in Counter(refs for _, refs in items).items():
         seen = set()
         for ref in refs:
-            for counts in ngrams[ref][1]:
-                seen.update(counts.keys())
-        df.update(seen)
+            seen.update(*ngrams[ref])
+        for g in seen:
+            df[g] = df.get(g, 0) + m
     return df
 
 
-def _tfidf(counts_by_n: list[Counter], df: Counter, log_n: float):
+def _tfidf(counts_by_n: list[dict], idf: dict[tuple, float]):
     vecs, norms = [], []
     for counts in counts_by_n:
-        vec = {g: c * (log_n - math.log(max(1.0, df[g]))) for g, c in counts.items()}
+        vec = {}
+        sq = 0.0  # squares summed in n-gram order
+        for g, c in counts.items():
+            v = vec[g] = c * idf[g]
+            sq += v * v
         vecs.append(vec)
-        norms.append(math.sqrt(sum(v * v for v in vec.values())))
+        norms.append(math.sqrt(sq))
     return vecs, norms
 
 
@@ -194,12 +210,42 @@ def _similarity_row(cand, ref) -> list[float]:
     (c_len, c_vecs, c_norms), (r_len, r_vecs, r_norms) = cand, ref
     penalty = math.exp(-((c_len - r_len) ** 2) / (2 * CIDER_SIGMA ** 2))
     row = []
-    for n in range(CIDER_N):
-        num = sum(min(c_vecs[n][g], r_vecs[n][g]) * r_vecs[n][g]
-                  for g in c_vecs[n] if g in r_vecs[n])
-        denom = c_norms[n] * r_norms[n]
-        row.append(penalty * (num / denom if denom > 0 else 0.0))
+    for c_vec, r_vec, c_norm, r_norm in zip(c_vecs, r_vecs, c_norms, r_norms):
+        denom = c_norm * r_norm
+        if denom > 0:
+            num = sum(min(c_vec[g], r_vec[g]) * r_vec[g] for g in c_vec if g in r_vec)
+            row.append(penalty * (num / denom))
+        else:
+            row.append(0.0)  # a zero norm scores 0 at this size
     return row
+
+
+def _consensus_scores(items: list[Item], tokens: dict[str, list[str]]) -> dict[Item, float]:
+    """The score of each distinct item of the corpus ``items``; ``tokens``
+    maps every caption of ``items`` to its normalized tokens."""
+    if len(items) < 2:
+        raise ValueError("consensus scoring needs a corpus of at least 2 items")
+    ngrams = {caption: _caption_ngrams(toks) for caption, toks in tokens.items()}
+    df = _doc_freq(items, ngrams)
+    log_n = math.log(len(items))
+    idf = {g: log_n - math.log(max(1.0, df.get(g, 0)))
+           for g in set().union(*chain.from_iterable(ngrams.values()))}
+    vectors = {caption: (len(tokens[caption]), *_tfidf(counts, idf))
+               for caption, counts in ngrams.items()}
+    rows: dict[tuple[str, str], list[float]] = {}
+    scores = {}
+    for item in dict.fromkeys(items):
+        cand, refs = item
+        totals = [0.0] * CIDER_N
+        for ref in refs:
+            row = rows.get((cand, ref))
+            if row is None:
+                row = rows[cand, ref] = _similarity_row(vectors[cand], vectors[ref])
+            totals = [t + x for t, x in zip(totals, row)]
+        # sum() adds the n-gram sizes left to right, the order of numpy's
+        # mean over a 4-vector, so each score is bit-equal to it
+        scores[item] = sum(totals) / CIDER_N / len(refs) * 10.0
+    return scores
 
 
 def cider_scores(candidates: list[str], references: list[list[str]]) -> list[float]:
@@ -210,35 +256,18 @@ def cider_scores(candidates: list[str], references: list[list[str]]) -> list[flo
     damped by a gaussian penalty on the length difference. Scores average
     over n-gram sizes and over references, then scale by 10.
 
-    Within one call each distinct caption is tokenised and weighted once,
-    each distinct (candidate, reference) pair compared once and each
-    distinct (candidate, references) item scored once; every score equals
-    the per-item definition bit for bit.
+    Within one call each distinct caption is tokenised, counted and
+    weighted once, the document frequencies are counted once per distinct
+    reference set (times the items that share it), the idf is computed
+    once per n-gram, each distinct (candidate, reference) pair is compared
+    once and each distinct (candidate, references) item is scored once;
+    every score equals the per-item definition bit for bit.
     """
     if len(candidates) != len(references):
         raise ValueError("candidates and references must align")
-    if len(candidates) < 2:
-        raise ValueError("consensus scoring needs a corpus of at least 2 items")
-    ngrams = {caption: _caption_ngrams(caption)
-              for caption in dict.fromkeys(chain(candidates, chain.from_iterable(references)))}
-    df = _doc_freq(references, ngrams)
-    log_n = math.log(len(candidates))
-    vectors = {caption: (n_tokens, *_tfidf(counts, df, log_n))
-               for caption, (n_tokens, counts) in ngrams.items()}
-    rows: dict[tuple[str, str], list[float]] = {}
-    items: dict[tuple[str, tuple[str, ...]], float] = {}
-    out = []
-    for cand, refs in zip(candidates, references):
-        item = (cand, tuple(refs))
-        if item not in items:
-            total = np.zeros(CIDER_N)
-            for ref in refs:
-                if (cand, ref) not in rows:
-                    rows[cand, ref] = _similarity_row(vectors[cand], vectors[ref])
-                total += rows[cand, ref]
-            items[item] = float(total.mean() / len(refs) * 10.0)
-        out.append(items[item])
-    return out
+    items = [(cand, tuple(refs)) for cand, refs in zip(candidates, references)]
+    scores = _consensus_scores(items, _tokenize(items))
+    return [scores[item] for item in items]
 
 
 def cider(candidates: list[str], references: list[list[str]]) -> float:
@@ -257,11 +286,10 @@ def cider_grouped(candidates: list[str], references: list[list[str]],
 
 def _group_mean(scores: list[float], group_keys: list) -> float:
     """Mean over groups of the mean per-item score inside each group."""
-    groups: dict[object, list[int]] = {}
-    for i, key in enumerate(group_keys):
-        groups.setdefault(key, []).append(i)
-    means = [float(np.mean([scores[i] for i in groups[key]])) for key in sorted(groups)]
-    return float(np.mean(means))
+    groups: dict[object, list[float]] = {}
+    for score, key in zip(scores, group_keys):
+        groups.setdefault(key, []).append(score)
+    return float(np.mean([float(np.mean(groups[key])) for key in sorted(groups)]))
 
 
 def _lcs_len(a: list[str], b: list[str]) -> int:
@@ -274,22 +302,25 @@ def _lcs_len(a: list[str], b: list[str]) -> int:
     return prev[-1]
 
 
-def rouge_l(candidate: str, references: list[str], beta: float = ROUGE_BETA) -> float:
-    """Longest-common-subsequence F-measure, max over references."""
-    cand = normalize_caption(candidate).split()
+def _rouge_l(cand: list[str], references: list[list[str]], beta: float) -> float:
     best = 0.0
     for ref in references:
-        ref_toks = normalize_caption(ref).split()
-        if not cand or not ref_toks:
+        if not cand or not ref:
             continue
-        lcs = _lcs_len(cand, ref_toks)
+        lcs = _lcs_len(cand, ref)
         if lcs == 0:
             continue
         p = lcs / len(cand)
-        r = lcs / len(ref_toks)
+        r = lcs / len(ref)
         f = (1 + beta ** 2) * p * r / (r + beta ** 2 * p)
         best = max(best, f)
     return best
+
+
+def rouge_l(candidate: str, references: list[str], beta: float = ROUGE_BETA) -> float:
+    """Longest-common-subsequence F-measure, max over references."""
+    return _rouge_l(normalize_caption(candidate).split(),
+                    [normalize_caption(ref).split() for ref in references], beta)
 
 
 # -- aggregate report ----------------------------------------------------------
@@ -317,6 +348,21 @@ class EvalReport:
         return "\n".join(lines)
 
 
+def _records_by_event(records: list[PredictionRecord], sample: VideoSample) -> dict:
+    """A video's records keyed by event; an event outside the video's
+    events, or named twice, raises DatasetError naming the video."""
+    n_events = len(sample.annotation.events)
+    by_event = {}
+    for rec in records:
+        if not 0 <= rec.event < n_events:
+            raise DatasetError(f"predictions for video {sample.id!r} name event {rec.event}; "
+                               f"it has events 0..{n_events - 1}")
+        if rec.event in by_event:
+            raise DatasetError(f"predictions for video {sample.id!r} name event {rec.event} twice")
+        by_event[rec.event] = rec
+    return by_event
+
+
 def evaluate(predictions: list[list[PredictionRecord]], samples: list[VideoSample],
              thetas: tuple[float, ...] = (0.3, 0.5),
              strict_grounding: bool = False) -> EvalReport:
@@ -328,82 +374,95 @@ def evaluate(predictions: list[list[PredictionRecord]], samples: list[VideoSampl
     0.5 it is also reported per visual role, as the share of that role's
     annotated (event, role) instances that hit (``iou@0.5/Arg0``, ...,
     present only for a role with at least one annotated instance).
+
+    One pass over each video's events collects the caption items, the
+    ranked verbs, the role sets and, for each annotated visual role, its
+    IoU, which is computed once and thresholded at every theta. Each
+    distinct caption is tokenised once for CIDEr and ROUGE-L alike, and
+    each distinct item is scored once (see :func:`cider_scores`). The
+    report is bit-equal to scoring every item and theta separately.
+
+    Raises DatasetError when there are no prediction records, or naming the
+    video when a prediction list names a video that is not among
+    ``samples``, two lists name the same video, or a record names an event
+    outside its video's events or one that another record names too.
     """
-    if not predictions or all(not recs for recs in predictions):
-        raise ValueError("no predictions to evaluate")
+    if not any(predictions):
+        raise DatasetError("no predictions to evaluate")
     by_id = {s.id: s for s in samples}
+    seen: set[str] = set()
 
     gt_sets: list[set[int]] = []
-    pred_rows = []
+    pred_rows: list[tuple[int, ...]] = []
     pred_role_sets: list[set[int]] = []
     gt_role_sets: list[set[int]] = []
-    candidates: list[str] = []
-    references: list[list[str]] = []
+    items: list[Item] = []
     verb_groups: list[int] = []
     role_groups: list[int] = []
-    grounding_lists: dict[float, list[float]] = {t: [] for t in thetas}
-    role_hits: dict[int, list[bool]] = {}
+    annotated: list[tuple[int, list[tuple[int, float | None]]]] = []  # (denominator, IoUs)
     skipped = 0
 
     for records in predictions:
         if not records:
             continue
-        sample = by_id.get(records[0].video_id)
+        video_id = records[0].video_id
+        sample = by_id.get(video_id)
         if sample is None:
-            raise ValueError(f"predictions reference unknown video {records[0].video_id!r}")
-        by_event = {r.event: r for r in records}
-        preds_ik = {}
-        for rec in records:
-            for rp in rec.roles:
-                preds_ik[(rec.event, rp.role)] = rp.grounding
+            raise DatasetError(f"predictions name video {video_id!r}, which is not among "
+                               f"the {len(samples)} videos evaluated")
+        if video_id in seen:
+            raise DatasetError(f"predictions name video {video_id!r} twice")
+        seen.add(video_id)
+        by_event = _records_by_event(records, sample)
+        gdict = sample.annotation.grounding
 
         for i, ev in enumerate(sample.annotation.events):
             rec = by_event.get(i)
-            gt_sets.append(set(ev.verbs))
-            row = np.full(5, -1, dtype=np.int64) if rec is None else np.asarray(rec.top5_verbs)
-            pred_rows.append(row)
             rec_roles = {} if rec is None else {rp.role: rp for rp in rec.roles}
+            gt_sets.append(set(ev.verbs))
+            pred_rows.append(NO_VERBS if rec is None else tuple(rec.top5_verbs))
             pred_role_sets.append(set(rec_roles))
             gt_role_sets.append(set(ev.roles))
+            ious = []
             for k in sorted(ev.roles):
-                cand = rec_roles[k].caption if k in rec_roles else ""
-                refs = ev.roles[k]
-                candidates.append(cand)
-                references.append(refs)
+                rp = rec_roles.get(k)
+                items.append(("" if rp is None else rp.caption, tuple(ev.roles[k])))
                 verb_groups.append(ev.primary_verb)
                 role_groups.append(k)
-
-        sk = 0
-        for theta in thetas:
-            hits = role_grounding_hits(preds_ik, sample, theta)
-            scores, sk = event_grounding_scores(sample.annotation.events, hits,
-                                                strict=strict_grounding)
-            grounding_lists[theta].extend(scores)
-            if theta == ROLE_GROUNDING_THETA:
-                for event_hits in hits:
-                    for k, hit in event_hits:
-                        role_hits.setdefault(k, []).append(hit)
-        skipped += sk  # skip count is theta-independent
+                frames = {} if gdict is None or k not in VISUAL_ROLES else gdict.boxes_for(i, k)
+                if frames:
+                    ious.append((k, _role_iou(None if rp is None else rp.grounding, frames)))
+            if ious:
+                annotated.append((len(ev.roles) if strict_grounding else len(ious), ious))
+            else:
+                skipped += 1
 
     acc1 = _ranked_accuracy([row[:1] for row in pred_rows], gt_sets)
     acc5 = _ranked_accuracy(pred_rows, gt_sets)
     rec5 = _ranked_recall(pred_rows, gt_sets)
 
-    scores = cider_scores(candidates, references)  # scored once, grouped twice
-    items = list(zip(candidates, map(tuple, references)))  # ROUGE-L once per distinct item
-    rouge = {item: rouge_l(*item) for item in dict.fromkeys(items)}
+    tokens = _tokenize(items)
+    by_item = _consensus_scores(items, tokens)  # scored once, grouped twice
+    scores = [by_item[item] for item in items]
+    rouge = {item: _rouge_l(tokens[item[0]], [tokens[ref] for ref in item[1]], ROUGE_BETA)
+             for item in by_item}
     srl = {
         "cider": float(np.mean(scores)) * 10.0,
         "cider_vb": _group_mean(scores, verb_groups) * 10.0,
         "cider_arg": _group_mean(scores, role_groups) * 10.0,
         "rouge_l": float(np.mean([rouge[item] for item in items])),
     }
-    grounding = {
-        f"iou@{theta}": (float(np.mean(vals)) if vals else 0.0)
-        for theta, vals in grounding_lists.items()
-    }
-    for k in sorted(role_hits):
-        grounding[f"iou@{ROLE_GROUNDING_THETA}/{ROLES[k]}"] = float(np.mean(role_hits[k]))
+    grounding = {}
+    for theta in thetas:
+        vals = [_hit_share(ious, theta, denom) for denom, ious in annotated]
+        grounding[f"iou@{theta}"] = float(np.mean(vals)) if vals else 0.0
+    if ROLE_GROUNDING_THETA in thetas:
+        role_hits: dict[int, list[bool]] = {}
+        for _, ious in annotated:
+            for k, iou in ious:
+                role_hits.setdefault(k, []).append(iou is not None and iou > ROLE_GROUNDING_THETA)
+        for k in sorted(role_hits):
+            grounding[f"iou@{ROLE_GROUNDING_THETA}/{ROLES[k]}"] = float(np.mean(role_hits[k]))
     per_role, macro = role_prf(pred_role_sets, gt_role_sets)
     report = EvalReport(
         verb={"acc@1": acc1, "acc@5": acc5, "recall@5": rec5},

@@ -382,6 +382,25 @@ def test_eval_reports_prediction_line_that_is_not_json(workspace, predictions, t
     assert err.startswith(f"error: {path}:2: malformed JSON")
 
 
+@pytest.mark.parametrize("case", ["unknown video", "duplicated video", "no records"])
+def test_eval_names_the_video_of_a_bad_prediction_file(workspace, predictions, tmp_path, capsys,
+                                                       case):
+    _, data, _ = workspace
+    doc = json.loads(predictions[1])
+    lines, message = {
+        "unknown video": ([predictions[0], json.dumps({**doc, "video_id": "nope"})],
+                          "predictions name video 'nope', which is not among the 2 videos "
+                          "evaluated"),
+        "duplicated video": ([predictions[0], predictions[1], predictions[1]],
+                             f"predictions name video {doc['video_id']!r} twice"),
+        "no records": ([], "no predictions to evaluate"),
+    }[case]
+    path = tmp_path / "preds.jsonl"
+    path.write_text("".join(line + "\n" for line in lines))
+    assert main(["eval", "--data", str(data), "--predictions", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+
 def test_ground_reports_prediction_line_without_roles(predictions, tmp_path, capsys):
     doc = json.loads(predictions[1])
     del doc["events"][0]["roles"]

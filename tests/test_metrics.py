@@ -3,6 +3,7 @@ brute-force oracle, plus the worked arithmetic examples."""
 
 import math
 from collections import Counter
+from contextlib import nullcontext
 from dataclasses import replace
 
 import numpy as np
@@ -10,11 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vidsrl.data_model import ROLE_IDS, ROLES, VISUAL_ROLES, normalize_caption
+from vidsrl.data_model import ROLE_IDS, ROLES, VISUAL_ROLES, DatasetError, normalize_caption
 from vidsrl.metrics import (
     EvalReport, box_iou, cider, cider_grouped, cider_scores, evaluate,
     grounding_score, role_prf, rouge_l, verb_accuracy_at_k, verb_recall_at_k,
 )
+from vidsrl.srl import GroundingPrediction, RolePrediction
 from vidsrl.synth import SynthConfig, generate, oracle_predict
 
 
@@ -388,6 +390,115 @@ def oracle_rouge_l(candidate, references, beta=1.2):
     return best
 
 
+def oracle_role_grounding_hits(preds, sample, theta):
+    """Per event, a (role, hit) pair for each annotated visual role, with the
+    IoU computed afresh for this theta."""
+    gdict = sample.annotation.grounding
+    per_event = []
+    for i, ev in enumerate(sample.annotation.events):
+        hits = []
+        for k in sorted(ev.roles):
+            frames = {} if gdict is None or k not in VISUAL_ROLES else gdict.boxes_for(i, k)
+            if frames:
+                pred = preds.get((i, k))
+                hits.append((k, pred is not None and pred.frame in frames
+                             and box_iou(pred.box, frames[pred.frame]) > theta))
+        per_event.append(hits)
+    return per_event
+
+
+def oracle_evaluate(predictions, samples, thetas=(0.3, 0.5), strict_grounding=False):
+    """The report built item by item and theta by theta: every IoU is
+    recomputed at each theta, role counts are taken role by role, verb
+    recall class by class over numpy rows, and captions are scored by the
+    per-item oracles, with the operations of ``evaluate`` in its order."""
+    by_id = {s.id: s for s in samples}
+    gt_sets, pred_rows, pred_role_sets, gt_role_sets = [], [], [], []
+    cands, refs, verb_groups, role_groups = [], [], [], []
+    grounding_lists = {t: [] for t in thetas}
+    role_hits = {}
+    skipped = 0
+    for records in predictions:
+        if not records:
+            continue
+        sample = by_id[records[0].video_id]
+        by_event = {r.event: r for r in records}
+        preds_ik = {(rec.event, rp.role): rp.grounding for rec in records for rp in rec.roles}
+        for i, ev in enumerate(sample.annotation.events):
+            rec = by_event.get(i)
+            gt_sets.append(set(ev.verbs))
+            pred_rows.append(np.full(5, -1, dtype=np.int64) if rec is None
+                             else np.asarray(rec.top5_verbs))
+            rec_roles = {} if rec is None else {rp.role: rp for rp in rec.roles}
+            pred_role_sets.append(set(rec_roles))
+            gt_role_sets.append(set(ev.roles))
+            for k in sorted(ev.roles):
+                cands.append(rec_roles[k].caption if k in rec_roles else "")
+                refs.append(ev.roles[k])
+                verb_groups.append(ev.primary_verb)
+                role_groups.append(k)
+        sk = 0
+        for theta in thetas:
+            hits = oracle_role_grounding_hits(preds_ik, sample, theta)
+            sk = 0
+            for ev, event_hits in zip(sample.annotation.events, hits):
+                if not event_hits:
+                    sk += 1
+                    continue
+                denom = len(ev.roles) if strict_grounding else len(event_hits)
+                grounding_lists[theta].append(sum(1.0 for _, hit in event_hits if hit) / denom)
+            if theta == 0.5:
+                for event_hits in hits:
+                    for k, hit in event_hits:
+                        role_hits.setdefault(k, []).append(hit)
+        skipped += sk
+
+    def accuracy(rows):
+        return float(np.mean([bool(set(row.tolist()) & set(gt))
+                              for row, gt in zip(rows, gt_sets)]))
+
+    recalls = []
+    for c in sorted(set().union(*gt_sets)):
+        events = [i for i, g in enumerate(gt_sets) if c in g]
+        recalls.append(sum(1 for i in events if c in pred_rows[i]) / len(events))
+
+    def group_mean(scores, keys):
+        groups = {}
+        for i, key in enumerate(keys):
+            groups.setdefault(key, []).append(i)
+        return float(np.mean([float(np.mean([scores[i] for i in groups[key]]))
+                              for key in sorted(groups)]))
+
+    scores = oracle_cider_scores(cands, refs)
+    per_role = {}
+    for r in range(len(ROLES)):
+        pairs = list(zip(pred_role_sets, gt_role_sets))
+        tp = sum(1 for p, g in pairs if r in p and r in g)
+        fp = sum(1 for p, g in pairs if r in p and r not in g)
+        fn = sum(1 for p, g in pairs if r not in p and r in g)
+        prec = tp / (tp + fp) if tp + fp else 0.0
+        rec = tp / (tp + fn) if tp + fn else 0.0
+        per_role[r] = (prec, rec, 2 * prec * rec / (prec + rec) if prec + rec else 0.0)
+    present = sorted(set().union(*gt_role_sets))
+    grounding = {f"iou@{theta}": float(np.mean(vals)) if vals else 0.0
+                 for theta, vals in grounding_lists.items()}
+    for k in sorted(role_hits):
+        grounding[f"iou@0.5/{ROLES[k]}"] = float(np.mean(role_hits[k]))
+    return {
+        "verb": {"acc@1": accuracy([row[:1] for row in pred_rows]),
+                 "acc@5": accuracy(pred_rows), "recall@5": float(np.mean(recalls))},
+        "srl": {"cider": float(np.mean(scores)) * 10.0,
+                "cider_vb": group_mean(scores, verb_groups) * 10.0,
+                "cider_arg": group_mean(scores, role_groups) * 10.0,
+                "rouge_l": float(np.mean([oracle_rouge_l(c, r) for c, r in zip(cands, refs)]))},
+        "grounding": grounding,
+        "roles": {"per_role": {ROLES[r]: per_role[r] for r in sorted(per_role)},
+                  "macro_f1": (float(np.mean([per_role[r][2] for r in present]))
+                               if present else 0.0),
+                  "skipped_grounding_events": skipped},
+    }
+
+
 def test_scores_on_repeated_captions_equal_the_per_item_oracles_bit_for_bit():
     # candidates repeat (also ""), references repeat across items, items
     # repeat whole, and item 0's two references include a candidate of items 0 and 2
@@ -523,6 +634,21 @@ def test_per_role_grounding_is_the_hit_share_of_each_annotated_role():
                if key.startswith("iou@0.5/") and key != "iou@0.5/Arg0")
 
 
+def caption_items(preds, samples):
+    """Candidates, references, primary verbs and roles of every scored
+    (event, role) item, in the order ``evaluate`` scores them."""
+    cands, refs, verbs, role_keys = [], [], [], []
+    for recs, sample in zip(preds, samples):
+        by_event = {rec.event: {rp.role: rp.caption for rp in rec.roles} for rec in recs}
+        for i, ev in enumerate(sample.annotation.events):
+            for k in sorted(ev.roles):
+                cands.append(by_event.get(i, {}).get(k, ""))
+                refs.append(ev.roles[k])
+                verbs.append(ev.primary_verb)
+                role_keys.append(k)
+    return cands, refs, verbs, role_keys
+
+
 def test_evaluate_caption_scores_equal_a_report_built_from_the_per_item_oracles():
     result = generate(SynthConfig(n_videos=0, n_val=6, n_verbs=6, vocab_size=20,
                                   d_vid=8, d_obj=8, n_slots=5, seed=36))
@@ -537,15 +663,7 @@ def test_evaluate_caption_scores_equal_a_report_built_from_the_per_item_oracles(
         k = min(roles)
         roles[k] = [shared, roles[k][0]] if j % 2 else [shared]
 
-    cands, refs, verbs, role_keys = [], [], [], []
-    for recs, sample in zip(preds, result.val):
-        by_event = {rec.event: {rp.role: rp.caption for rp in rec.roles} for rec in recs}
-        for i, ev in enumerate(sample.annotation.events):
-            for k in sorted(ev.roles):
-                cands.append(by_event.get(i, {}).get(k, ""))
-                refs.append(ev.roles[k])
-                verbs.append(ev.primary_verb)
-                role_keys.append(k)
+    cands, refs, verbs, role_keys = caption_items(preds, result.val)
     assert len(set(cands)) < len(cands) and "" in cands
     scores = oracle_cider_scores(cands, refs)
 
@@ -560,6 +678,99 @@ def test_evaluate_caption_scores_equal_a_report_built_from_the_per_item_oracles(
            "rouge_l": float(np.mean([oracle_rouge_l(c, r) for c, r in zip(cands, refs)]))}
     report = evaluate(preds, result.val).to_dict()
     assert 0.0 < srl["cider"] and report["srl"] == srl
+
+
+def awkward_predictions():
+    """Oracle predictions and ground truth made awkward on purpose: a missing
+    event, missing and extra roles, empty, partly right and lengthened
+    captions, wrong verbs, boxes moved to land between the thetas, a
+    degenerate predicted box, reference sets repeated across items and one
+    two-reference item."""
+    result = generate(SynthConfig(n_videos=0, n_val=8, n_verbs=6, vocab_size=20,
+                                  d_vid=8, d_obj=8, n_slots=5, seed=37))
+    samples = result.val
+    preds = [oracle_predict(s, result.secrets) for s in samples]
+    del preds[0][1]  # event 1 of video 0 has no prediction
+    preds[1][0].roles = preds[1][0].roles[1:]  # its first role is missing
+    spare = next(r for r in range(len(ROLES)) if r not in samples[2].annotation.events[0].roles)
+    preds[2][0].roles.append(RolePrediction(spare, "the extra thing", GroundingPrediction(
+        0, 0, (0.0, 0.0, 10.0, 10.0), 0.5)))
+    role_preds = [rp for recs in preds for rec in recs for rp in rec.roles]
+    captions = [rp.caption for rp in role_preds]
+    for j, rp in enumerate(role_preds):
+        if j % 5 == 1:
+            rp.caption = ""
+        elif j % 5 == 2:  # another role's caption: overlaps in some n-grams only
+            rp.caption = captions[(j * 7) % len(captions)]
+        elif j % 5 == 3:
+            rp.caption = "the " + captions[j].split()[-1]
+        elif j % 5 == 4:  # the reference and one more word: overlaps at every n
+            rp.caption = captions[j] + " again"
+        g = rp.grounding
+        x1, y1, x2, y2 = g.box
+        shift = (0.0, 0.2, 0.45, 0.7)[j % 4] * (x2 - x1)  # IoU 1, ~0.67, ~0.38, ~0.18
+        rp.grounding = replace(g, box=(x1 + shift, y1, x2 + shift, y2))
+    degenerate = next(rp for rp in role_preds if rp.role in VISUAL_ROLES and rp.caption)
+    x1, y1, _, y2 = degenerate.grounding.box
+    degenerate.grounding = replace(degenerate.grounding, box=(x1, y1, x1, y2))
+    for j, rec in enumerate(rec for recs in preds for rec in recs):
+        if j % 3 == 1:
+            rec.top5_verbs = rec.top5_verbs[1:] + rec.top5_verbs[:1]  # right verb at rank 5
+        elif j % 3 == 2:
+            rec.top5_verbs = [v for v in range(6) if v not in rec.top5_verbs[:1]][:5]
+    events = [ev for s in samples for ev in s.annotation.events]
+    shared = events[0].roles[min(events[0].roles)]
+    for ev in events[3::4]:  # the same reference list in several items
+        ev.roles[min(ev.roles)] = shared
+    ev = events[5]
+    ev.roles[max(ev.roles)] = [captions[0], ev.roles[max(ev.roles)][0]]
+    return preds, samples
+
+
+@pytest.mark.parametrize("case, kwargs", [
+    ("oracle", {}), ("awkward", {}), ("awkward", {"strict_grounding": True}),
+    ("awkward", {"thetas": (0.3,)}),
+])
+def test_evaluate_report_equals_the_per_item_per_theta_oracle(grounded_setup, case, kwargs):
+    if case == "oracle":
+        samples = grounded_setup.val
+        preds = [oracle_predict(s, grounded_setup.secrets) for s in samples]
+        warns = nullcontext()
+    else:
+        preds, samples = awkward_predictions()
+        warns = pytest.warns(UserWarning, match="degenerate")
+    with warns:
+        report = evaluate(preds, samples, **kwargs).to_dict()
+        expected = oracle_evaluate(preds, samples, **kwargs)
+    assert report == expected
+    # a score off by an ulp can vanish in the report's means, so compare items too
+    cands, refs, _, _ = caption_items(preds, samples)
+    assert cider_scores(cands, refs) == oracle_cider_scores(cands, refs)
+    per_role = [key for key in report["grounding"] if "/" in key]
+    assert bool(per_role) == (0.5 in kwargs.get("thetas", (0.5,)))
+    if case == "awkward":
+        assert 0 < report["grounding"]["iou@0.3"] < 1 and 0 < report["verb"]["acc@1"] < 1
+        assert 0 < report["srl"]["cider"] < 100 and 0 < report["srl"]["rouge_l"] < 1
+    if case == "awkward" and not kwargs:
+        assert report["grounding"]["iou@0.5"] < report["grounding"]["iou@0.3"]
+
+
+def test_evaluate_names_the_video_of_a_bad_prediction_list(grounded_setup):
+    samples = grounded_setup.val
+    preds = [oracle_predict(s, grounded_setup.secrets) for s in samples]
+    vid, n_events = samples[1].id, len(samples[1].annotation.events)
+    with pytest.raises(DatasetError, match="no predictions"):
+        evaluate([[], []], samples)
+    with pytest.raises(DatasetError, match="video 'nope', which is not among the 3 videos"):
+        evaluate(preds + [[replace(rec, video_id="nope") for rec in preds[0]]], samples)
+    with pytest.raises(DatasetError, match=f"video '{vid}' twice"):
+        evaluate(preds + [preds[1]], samples)
+    for event in (n_events, -1):
+        with pytest.raises(DatasetError, match=f"video '{vid}' name event {event}; "
+                                               f"it has events 0..{n_events - 1}"):
+            evaluate([preds[0], preds[1] + [replace(preds[1][0], event=event)]], samples)
+    with pytest.raises(DatasetError, match=f"video '{vid}' name event 0 twice"):
+        evaluate([preds[0], preds[1] + [preds[1][0]]], samples)
 
 
 def test_evaluate_rejects_empty_predictions():

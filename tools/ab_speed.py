@@ -20,10 +20,14 @@ see the same machine state:
 - setup: that side's own ``generate`` of the suite, ``write_dataset`` into
   a temp dir and ``load_dataset_dir`` of both splits.
 
-Each side builds the suite with its own generator. Per side and workload it
-prints the median and quartiles (train in videos/s, predict in ms per
-video, evaluate and setup in ms per call) and the pairs that side won.
-This is a measuring aid, not a gate. Usage, from the root of a checkout:
+Each side builds the suite with its own generator. After the warm-up both
+sides' ``evaluate`` score A's records of the held-out videos; if the two
+``EvalReport.to_dict()`` differ, the script names the first differing key
+and exits non-zero, so a speed-up is never reported for a report that
+changed. Per side and workload it prints the median and quartiles (train
+in videos/s, predict in ms per video, evaluate and setup in ms per call)
+and the pairs that side won. This is a measuring aid, not a gate. Usage,
+from the root of a checkout:
 
     python3 tools/ab_speed.py A_CHECKOUT [B_CHECKOUT] [--pairs 10]
 
@@ -108,6 +112,21 @@ class Side:
         self.setup_pass()
 
 
+def first_difference(a: dict, b: dict, prefix: str = ""):
+    """The first key, as a ``/``-joined path, at which two nested report
+    dicts differ, with both values; None when they are equal."""
+    for key in dict.fromkeys([*a, *b]):
+        name = f"{prefix}{key}"
+        va, vb = a.get(key, "<missing>"), b.get(key, "<missing>")
+        if isinstance(va, dict) and isinstance(vb, dict):
+            found = first_difference(va, vb, name + "/")
+            if found is not None:
+                return found
+        elif va != vb:
+            return name, va, vb
+    return None
+
+
 def summary(side: Side, other: Side, workload: str, unit: str, higher: bool) -> str:
     mine, theirs = side.rates[workload], other.rates[workload]
     q1, med, q3 = statistics.quantiles(mine, n=4, method="inclusive")
@@ -136,6 +155,11 @@ def main(argv=None):
             side.model = side.srl.SituationModel.load(os.path.join(ckpt_dir, "checkpoint_last.bin"))
             side.run_all()  # warm-up, not counted
             side.reset()
+        reports = [side.metrics.evaluate(a.records, a.data.val).to_dict() for side in sides]
+        diff = first_difference(*reports)
+        if diff is not None:
+            key, va, vb = diff
+            raise SystemExit(f"evaluate reports differ at {key}: A {va!r}, B {vb!r}")
         for i in range(args.pairs):
             for side in (sides if i % 2 == 0 else sides[::-1]):
                 side.run_all()

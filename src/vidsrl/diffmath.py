@@ -732,16 +732,25 @@ class AttentionBlock(Module):
 
 
 class TransformerLayer(Module):
-    """One encoder or decoder layer (post-norm): self-attention, optional
-    cross-attention, position-wise FFN of width 4d, each with a residual and
-    a layer norm."""
+    """One encoder or decoder layer (post-norm): self-attention, an optional
+    cross sublayer, position-wise FFN of width 4d, each with a residual and
+    a layer norm.
 
-    def __init__(self, d: int, n_heads: int, rng: np.random.Generator, cross: bool = False):
+    ``cross`` is False for none, True for multi-head attention over a memory
+    (``cross_attn``), or ``"linear"`` for one d x d ``Linear`` of a
+    conditioning vector per sequence (``cross_proj``), whose output the
+    caller passes as ``cross_out``."""
+
+    def __init__(self, d: int, n_heads: int, rng: np.random.Generator,
+                 cross: bool | str = False):
         self.cross = cross
         self.self_attn = AttentionBlock(d, n_heads, rng)
         self.ln1 = LayerNorm(d)
         if cross:
-            self.cross_attn = AttentionBlock(d, n_heads, rng)
+            if cross == "linear":
+                self.cross_proj = Linear(d, d, rng)
+            else:
+                self.cross_attn = AttentionBlock(d, n_heads, rng)
             self.ln_cross = LayerNorm(d)
         self.ffn_in = Linear(d, 4 * d, rng)
         self.ffn_out = Linear(4 * d, d, rng)
@@ -752,7 +761,7 @@ class TransformerLayer(Module):
                  dropout_p: float = 0.0, rng=None):
         """The layer over ``x`` (..., n, d). The cross sublayer attends
         ``memory`` under ``cross_mask``, or adds ``cross_out`` (..., 1, d) at
-        every position: its output when each sequence attends a single key.
+        every position, such as ``cross_proj`` of each sequence's vector.
         Returns the output and the cross-attention weights (None without
         ``memory``)."""
         if (memory is not None or cross_out is not None) and not self.cross:
@@ -813,6 +822,10 @@ def gradient_check(loss_fn, params, eps: float = 1e-3, samples: int = 50,
     The error is taken against the eps/2 quotient: when only the wider
     interval straddles a kink, the two disagree by less than kink_tol, and
     the eps quotient alone would report that disagreement as the error.
+    The guard misses a kink that both intervals straddle: the two quotients
+    can then agree with each other, the coordinate is kept, and the kink
+    shows in the error as if the gradient were wrong. A quotient over a much
+    smaller interval, in float64, tells the two cases apart.
 
     With float64=True the parameters are temporarily cast to float64 so the
     whole graph (forward, backward and differences) runs at high precision.

@@ -3,13 +3,15 @@ object proposals, autoregressive caption generation per role, and grounding
 extracted from the final decoder layer's attention map.
 
 All role queries of a video are decoded jointly (self-attention spans the
-whole video). Each role's caption is then decoded from its own role vector:
-the captioner runs on (n_roles, length, d), with one causal (length, length)
-self mask shared by the roles. Its cross sublayer attends a single key, the
-role vector, so it is the per-role term ``wo(wv(z))`` added at every
-position. In training all captions are teacher-forced in parallel; at
-inference, greedy decoding feeds one token per role and step against cached
-keys and values, and prediction records no autodiff graph.
+whole video). A role query is its role embedding plus its event's
+positional embedding: the verb picks the role set but does not enter the
+query. Each role's caption is then decoded from its own role vector: the
+captioner runs on (n_roles, length, d), with one causal (length, length)
+self mask shared by the roles. Each captioner layer conditions on the role
+vector z by one ``Linear(z)`` added at every position. In training all
+captions are teacher-forced in parallel; at inference, greedy decoding feeds
+one token per role and step against cached keys and values, and prediction
+records no autodiff graph.
 """
 
 from __future__ import annotations
@@ -51,14 +53,10 @@ def role_query_index(role_sets) -> list[RoleQuery]:
     return [RoleQuery(i, k) for i, roles in enumerate(role_sets) for k in sorted(roles)]
 
 
-def build_role_queries(role_sets: list[list[int]], event_context: dm.Tensor,
-                       role_table: dm.Tensor, pe_table: dm.Tensor):
-    """q = role embedding + per-event context vector + event positional embedding.
-
-    ``event_context`` is normally the contextualised event embeddings e'; an
-    ablation may pass any other (n_events, d) matrix such as learned verb
-    embeddings. Queries are in :func:`role_query_index` order.
-    """
+def build_role_queries(role_sets: list[list[int]], role_table: dm.Tensor,
+                       pe_table: dm.Tensor):
+    """q = role embedding + event positional embedding, in
+    :func:`role_query_index` order."""
     index = role_query_index(role_sets)
     if not index:
         raise ValueError("no role queries (all role sets empty)")
@@ -67,10 +65,7 @@ def build_role_queries(role_sets: list[list[int]], event_context: dm.Tensor,
             raise KeyError(f"unknown role id {q.role}")
     event_idx = np.array([q.event for q in index], dtype=np.int64)
     role_idx = np.array([q.role for q in index], dtype=np.int64)
-    queries = dm.add(
-        dm.add(dm.gather_rows(role_table, role_idx), dm.gather_rows(event_context, event_idx)),
-        dm.gather_rows(pe_table, event_idx),
-    )
+    queries = dm.add(dm.gather_rows(role_table, role_idx), dm.gather_rows(pe_table, event_idx))
     return queries, index
 
 
@@ -131,26 +126,13 @@ def extract_grounding(alpha_row: np.ndarray, allowed: np.ndarray,
 # -- captioning (stage 3) ----------------------------------------------------
 
 
-class OneKeyCrossAttention(dm.Module):
-    """The captioner's cross sublayer. Each caption attends a single key, its
-    own role vector z, so the softmax is exactly 1 and the output is
-    ``wo(wv(z))`` at every position, whatever the queries: there are no
-    query or key projections."""
-
-    def __init__(self, attn: dm.AttentionBlock):
-        self.wv, self.wo = attn.wv, attn.wo
-
-    def __call__(self, z: dm.Tensor) -> dm.Tensor:
-        return self.wo(self.wv(z))
-
-
-
 class CaptionDecoder(dm.Module):
     """Autoregressive transformer decoder conditioned on one role vector.
 
     Every role is its own sequence on a leading role axis. Self-attention is
-    causal within a role's caption; the cross sublayer is a per-role term
-    (see ``OneKeyCrossAttention``) added at every position.
+    causal within a role's caption; each layer's cross sublayer is one
+    d x d ``Linear`` of the role vector (``cross_proj``), added at every
+    position.
     """
 
     def __init__(self, cfg: ModelConfig, rng: np.random.Generator):
@@ -158,11 +140,8 @@ class CaptionDecoder(dm.Module):
         d = cfg.d_model
         self.token_embed = dm.Embedding(cfg.vocab_size, d, rng)
         self.pos_embed = dm.Embedding(cfg.max_caption_len + 2, d, rng)
-        self.layers = [dm.TransformerLayer(d, cfg.n_heads, rng, cross=True)
+        self.layers = [dm.TransformerLayer(d, cfg.n_heads, rng, cross="linear")
                        for _ in range(cfg.n_layers)]
-        for layer in self.layers:
-            # wq/wk are drawn and dropped: skipping the draws would re-seed every later array
-            layer.cross_attn = OneKeyCrossAttention(layer.cross_attn)
         self.out = dm.Linear(d, cfg.vocab_size, rng)
 
     def logits(self, token_ids: np.ndarray, z: dm.Tensor,
@@ -175,7 +154,7 @@ class CaptionDecoder(dm.Module):
         x = dm.add(self.token_embed(token_ids), self.pos_embed(np.arange(length)))
         causal = np.tril(np.ones((length, length), dtype=bool))
         for layer in self.layers:
-            cross = dm.reshape(layer.cross_attn(z), (n_roles, 1, self.cfg.d_model))
+            cross = dm.reshape(layer.cross_proj(z), (n_roles, 1, self.cfg.d_model))
             x, _ = layer(x, self_mask=causal, cross_out=cross, dropout_p=dropout_p, rng=rng)
         return self.out(x)
 
@@ -198,7 +177,7 @@ class CaptionDecoder(dm.Module):
         done = np.zeros(n_roles, dtype=bool)
         steps = []
         with dm.no_grad():
-            cross = [layer.cross_attn(z) for layer in self.layers]
+            cross = [layer.cross_proj(z) for layer in self.layers]
             caches = [None] * len(self.layers)
             for t in range(max_len + 1):  # +1 gives room for the closing EOS
                 x = dm.add(self.token_embed(token), self.pos_embed(np.full(n_roles, t)))
@@ -332,7 +311,7 @@ class SituationModel(dm.Module):
 
             role_sets = self.role_sets_for(sample, regime, verb_pred, pred_sets)
             queries, index = build_role_queries(
-                role_sets, e_ctx, self.role_decoder.role_embed.table, self.encoder.pe_event.table)
+                role_sets, self.role_decoder.role_embed.table, self.encoder.pe_event.table)
             mask = build_event_mask(index, sample.schedule, sample.n_slots)
             z, weights = self.role_decoder.forward(queries, o_ctx, mask)
             alpha = weights[-1].data

@@ -269,8 +269,8 @@ def video_loss(model: SituationModel, compiled: CompiledSample, train_cfg: Train
     role_logits = model.encoder.role_logits(e_ctx)
 
     queries, index = build_role_queries(
-        compiled.role_sets_sorted, e_ctx,
-        model.role_decoder.role_embed.table, model.encoder.pe_event.table)
+        compiled.role_sets_sorted, model.role_decoder.role_embed.table,
+        model.encoder.pe_event.table)
     z, _ = model.role_decoder.forward(queries, o_ctx, compiled.event_mask,
                                       dropout_p=dropout_p, rng=rng)
     cap_logits = model.captioner.logits(compiled.cap_inputs, z,

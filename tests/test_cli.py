@@ -275,6 +275,30 @@ def test_predict_rejects_checkpoint_from_older_config(workspace, tmp_path, capsy
     assert err.startswith("error:") and "share_event_pe" in err and "norm_placement" in err
 
 
+def test_predict_rejects_checkpoint_with_two_map_captioner_conditioning(workspace, tmp_path,
+                                                                         capsys):
+    # checkpoints written before each captioner layer conditioned by one Linear
+    # hold cross_attn.wv and cross_attn.wo in place of cross_proj
+    _, data, run = workspace
+    arrays, meta = dm.load_tensors(run / "checkpoint_last.bin")
+    old_arrays = {}
+    for name, value in arrays.items():
+        if ".cross_proj." in name:
+            for proj in ("wv", "wo"):
+                old_arrays[name.replace(".cross_proj.", f".cross_attn.{proj}.")] = value
+        else:
+            old_arrays[name] = value
+    old = tmp_path / "old.bin"
+    dm.save_tensors(old, old_arrays, meta)
+    missing = "checkpoint missing parameter 'captioner.layers.0.cross_proj.w'"
+    with pytest.raises(dm.CheckpointError, match=f"^{re.escape(missing)}$"):
+        SituationModel.load(old)
+    code = main(["predict", "--data", str(data), "--split", "val", "--checkpoint", str(old),
+                 "--out", str(tmp_path / "p.jsonl")])
+    assert code == 1
+    assert missing in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("flag,value,named", [("--d-obj", "8", "d_obj"),
                                                ("--n-verbs", "5", "lexicon")])
 def test_predict_rejects_checkpoint_that_does_not_fit_data(workspace, tmp_path, capsys,

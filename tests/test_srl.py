@@ -51,41 +51,27 @@ def model(synth_result):
 # -- role queries -----------------------------------------------------------------
 
 
-def test_query_is_role_embedding_when_context_zero():
+def test_query_is_role_row_plus_event_pe_row():
     role_table = dm.Tensor(rng(3).normal(size=(11, 8)).astype(np.float32))
-    zeros = dm.Tensor(np.zeros((5, 8), dtype=np.float32))
-    q, index = build_role_queries([[2], [], [], [], []], zeros, role_table, zeros)
-    assert index == [RoleQuery(0, 2)]
-    np.testing.assert_allclose(q.data[0], role_table.data[2], atol=1e-7)
+    pe = dm.Tensor(rng(4).normal(size=(5, 8)).astype(np.float32))
+    q, index = build_role_queries([[2], [], [0, 7], [], [4]], role_table, pe)
+    assert index == [RoleQuery(0, 2), RoleQuery(2, 0), RoleQuery(2, 7), RoleQuery(4, 4)]
+    for row, query in zip(q.data, index):
+        assert np.array_equal(row, role_table.data[query.role] + pe.data[query.event])
 
 
 def test_queries_ordered_by_event_then_role():
     role_table = dm.Tensor(np.zeros((11, 4), dtype=np.float32))
-    ctx = dm.Tensor(np.zeros((5, 4), dtype=np.float32))
-    q, index = build_role_queries([[1, 0]] * 5, ctx, role_table, ctx)
+    pe = dm.Tensor(np.zeros((5, 4), dtype=np.float32))
+    q, index = build_role_queries([[1, 0]] * 5, role_table, pe)
     assert q.shape == (10, 4)
     assert index == [RoleQuery(i, k) for i in range(5) for k in (0, 1)]
-
-
-def test_query_context_can_be_verb_embeddings():
-    # ablation path: replace event context with learned verb embeddings
-    role_table = dm.Tensor(rng(4).normal(size=(11, 8)).astype(np.float32))
-    pe = dm.Tensor(rng(5).normal(size=(5, 8)).astype(np.float32))
-    e_ctx = dm.Tensor(rng(6).normal(size=(5, 8)).astype(np.float32))
-    verb_emb = dm.Embedding(6, 8, rng(7))
-    verbs = [0, 2, 1, 5, 3]
-    verb_ctx = verb_emb(np.array(verbs))
-    role_sets = [[0, 1]] * 5
-    q_event, idx1 = build_role_queries(role_sets, e_ctx, role_table, pe)
-    q_verb, idx2 = build_role_queries(role_sets, verb_ctx, role_table, pe)
-    assert idx1 == idx2 and q_event.shape == q_verb.shape
-    assert np.abs(q_event.data - q_verb.data).max() > 0
 
 
 def test_query_unknown_role_rejected():
     t = dm.Tensor(np.zeros((11, 4), dtype=np.float32))
     with pytest.raises(KeyError, match="unknown role"):
-        build_role_queries([[11], [], [], [], []], t, t, t)
+        build_role_queries([[11], [], [], [], []], t, t)
 
 
 # -- event mask --------------------------------------------------------------------
@@ -300,25 +286,25 @@ def test_caption_logits_of_each_role_equal_the_role_decoded_alone():
         np.testing.assert_allclose(together.data[r], alone.data[0], atol=1e-5)
 
 
-def test_captioner_init_is_a_cross_layer_stack_without_query_key_projections():
-    # the cross sublayer's wq/wk are drawn and dropped, so every kept array is
-    # bit-equal to the same draws made with full cross layers
+def test_captioner_layer_conditions_by_one_linear_added_at_every_position():
     cfg = small_cfg(vocab_size=24)
     cap = CaptionDecoder(cfg, rng(29))
-    g = rng(29)
-    reference = {}
-    for name, block in (("token_embed", dm.Embedding(cfg.vocab_size, 16, g)),
-                        ("pos_embed", dm.Embedding(cfg.max_caption_len + 2, 16, g)),
-                        *((f"layers.{i}", dm.TransformerLayer(16, cfg.n_heads, g, cross=True))
-                          for i in range(cfg.n_layers)),
-                        ("out", dm.Linear(16, cfg.vocab_size, g))):
-        reference.update(block.named_parameters(f"captioner.{name}"))
-    kept = dict(cap.named_parameters("captioner"))
-    dropped = {n for n in reference if ".cross_attn.wq." in n or ".cross_attn.wk." in n}
-    assert len(dropped) == 4 * cfg.n_layers
-    assert list(kept) == [n for n in reference if n not in dropped]
-    for name, p in kept.items():
-        assert np.array_equal(p.data, reference[name].data), name
+    for layer in cap.layers:
+        cross = [name for name, _ in layer.named_parameters() if name.startswith("cross")]
+        assert cross == ["cross_proj.w", "cross_proj.b"]
+        assert layer.cross_proj.w.shape == (16, 16)
+    tokens = rng(129).integers(0, 24, size=(3, 5))
+    z = dm.Tensor(rng(130).normal(size=(3, 16)).astype(np.float32))
+    x = dm.add(cap.token_embed(tokens), cap.pos_embed(np.arange(5)))
+    causal = np.tril(np.ones((5, 5), dtype=bool))
+    for layer in cap.layers:
+        a, _ = layer.self_attn(x, x, causal, need_weights=False)
+        x = dm.residual_layer_norm(x, a, layer.ln1.gain, layer.ln1.bias)
+        term = dm.reshape(layer.cross_proj(z), (3, 1, 16))  # one row per role, every position
+        x = dm.residual_layer_norm(x, term, layer.ln_cross.gain, layer.ln_cross.bias)
+        x = dm.residual_layer_norm(x, dm.ffn(x, layer.ffn_in, layer.ffn_out),
+                                   layer.ln2.gain, layer.ln2.bias)
+    assert np.array_equal(cap.logits(tokens, z).data, cap.out(x).data)
 
 
 # -- full prediction --------------------------------------------------------------------
@@ -372,10 +358,9 @@ def test_alpha_is_simplex_on_event_support(model, synth_result):
     inputs_cfg = model.cfg
     from vidsrl.encoder import prepare_inputs
     inputs = prepare_inputs(sample)
-    o_ctx, e_ctx = model.encoder.forward(inputs)
+    o_ctx, _ = model.encoder.forward(inputs)
     role_sets = [sorted(ev.roles) for ev in sample.annotation.events]
-    q, index = build_role_queries(role_sets, e_ctx,
-                                  model.role_decoder.role_embed.table,
+    q, index = build_role_queries(role_sets, model.role_decoder.role_embed.table,
                                   model.encoder.pe_event.table)
     mask = build_event_mask(index, sample.schedule, sample.n_slots)
     _, weights = model.role_decoder.forward(q, o_ctx, mask)

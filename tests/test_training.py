@@ -197,7 +197,7 @@ def test_caption_row_holds_the_reference_of_its_query():
     cfg = model_config_for(tc, [sample], result.lexicon, vocab)
     compiled = compile_sample(sample, vocab, cfg)
     table = dm.Tensor(np.zeros((len(ROLES), 8), dtype=np.float32))
-    _, index = build_role_queries(compiled.role_sets_sorted, table, table, table)
+    _, index = build_role_queries(compiled.role_sets_sorted, table, table)
     assert len(index) == len(compiled.cap_targets) > len(sample.annotation.events)
     assert any(q.role > 0 for q in index)
     for r, q in enumerate(index):

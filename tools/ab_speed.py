@@ -14,7 +14,10 @@ see the same machine state:
 - predict: one ``pred-pred`` pass of ``predict_situation`` over the suite's
   20 held-out videos with one checkpoint, trained by A for
   ``PREDICT_EPOCHS`` epochs and read by each side's own
-  ``SituationModel.load``;
+  ``SituationModel.load``. When B cannot read A's checkpoint (the two
+  checkouts name their parameters differently), the script stops with one
+  line naming the first missing parameter: time such a pair with
+  alternating ``bench/run.py --workload predict`` runs of each checkout;
 - evaluate: that side's own ``metrics.evaluate`` on the records its predict
   pass just made and the 20 held-out videos;
 - setup: that side's own ``generate`` of the suite, ``write_dataset`` into
@@ -152,7 +155,13 @@ def main(argv=None):
         a.training.train(a.data.train, a.data.lexicon,
                          replace(a.cfg, epochs=PREDICT_EPOCHS), ckpt_dir)
         for side in sides:
-            side.model = side.srl.SituationModel.load(os.path.join(ckpt_dir, "checkpoint_last.bin"))
+            try:
+                side.model = side.srl.SituationModel.load(
+                    os.path.join(ckpt_dir, "checkpoint_last.bin"))
+            except side.srl.dm.CheckpointError as e:
+                raise SystemExit(f"{side.label} cannot read A's checkpoint: {e}; compare "
+                                 "prediction with alternating bench/run.py runs of each "
+                                 "checkout") from None
             side.run_all()  # warm-up, not counted
             side.reset()
         reports = [side.metrics.evaluate(a.records, a.data.val).to_dict() for side in sides]
